@@ -12,7 +12,7 @@
 
 use fonduer_candidates::ContextScope;
 use fonduer_core::domains::electronics;
-use fonduer_core::{PipelineConfig, PipelineSession, StageId};
+use fonduer_core::{PipelineConfig, PipelineSession, Pool, StageId};
 use fonduer_datamodel::DocId;
 use fonduer_features::{FeatureShardMerger, Featurizer};
 use fonduer_learning::{prepare, FonduerModel, ModelConfig, ProbClassifier};
@@ -617,7 +617,7 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
             format!("candidates/candgen/threads={n}"),
             3,
             30,
-            || ex.extract_parallel(&ds.corpus, n),
+            || ex.extract_parallel(&ds.corpus, Pool::new(n)),
         );
         with_throughput(results, cands.len());
         bench(
@@ -625,7 +625,7 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
             format!("features/featurize/threads={n}"),
             3,
             30,
-            || fz.featurize_parallel(&ds.corpus, &cands, n),
+            || fz.featurize_parallel(&ds.corpus, &cands, Pool::new(n)),
         );
         with_throughput(results, cands.len());
         bench(
@@ -633,7 +633,7 @@ fn bench_scaling(results: &mut Vec<BenchResult>) {
             format!("supervision/lf_apply/threads={n}"),
             3,
             30,
-            || LabelMatrix::apply_parallel(&lf_refs, &ds.corpus, &cands, n),
+            || LabelMatrix::apply_parallel(&lf_refs, &ds.corpus, &cands, Pool::new(n)),
         );
         with_throughput(results, cands.len());
         bench(

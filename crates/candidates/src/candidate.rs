@@ -7,6 +7,7 @@
 
 use fonduer_datamodel::{Corpus, DocId, Document, Span};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Schema of a relation to extract: name plus ordered mention-type names
 /// (paper Example 3.2's `CREATE TABLE HasCollectorCurrent(...)`).
@@ -86,6 +87,21 @@ impl CandidateSet {
     ) -> impl Iterator<Item = (&'a Candidate, &'a Document)> {
         self.candidates.iter().map(move |c| (c, corpus.doc(c.doc)))
     }
+
+    /// Maximal runs of consecutive candidates from the same document, as
+    /// `(document, candidate index range)` in input order — the unit of
+    /// work of every per-document stage kernel. A document whose
+    /// candidates are not contiguous yields one run per stretch.
+    pub fn doc_runs(&self) -> Vec<(DocId, Range<usize>)> {
+        let mut runs: Vec<(DocId, Range<usize>)> = Vec::new();
+        for (i, c) in self.candidates.iter().enumerate() {
+            match runs.last_mut() {
+                Some((doc, r)) if *doc == c.doc => r.end = i + 1,
+                _ => runs.push((c.doc, i..i + 1)),
+            }
+        }
+        runs
+    }
 }
 
 #[cfg(test)]
@@ -98,6 +114,24 @@ mod tests {
         let s = RelationSchema::new("has_collector_current", &["part", "current"]);
         assert_eq!(s.arity(), 2);
         assert_eq!(s.name, "has_collector_current");
+    }
+
+    #[test]
+    fn doc_runs_split_at_document_changes() {
+        let c = |d| Candidate::new(DocId(d), vec![]);
+        let set = CandidateSet {
+            schema: RelationSchema::new("r", &["a"]),
+            candidates: vec![c(0), c(0), c(2), c(0)],
+        };
+        assert_eq!(
+            set.doc_runs(),
+            vec![(DocId(0), 0..2), (DocId(2), 2..3), (DocId(0), 3..4)]
+        );
+        let empty = CandidateSet {
+            schema: RelationSchema::new("r", &["a"]),
+            candidates: vec![],
+        };
+        assert!(empty.doc_runs().is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::scope::ContextScope;
 use crate::throttler::Throttler;
 use fonduer_datamodel::{Corpus, DocId, Document, Span};
 use fonduer_observe as observe;
+use fonduer_par::Pool;
 
 /// Extractor for one relation: mention types (one per schema argument), a
 /// context scope, and optional throttlers.
@@ -175,21 +176,26 @@ impl CandidateExtractor {
         }
     }
 
-    /// Extract candidates from a whole corpus.
+    /// Extract candidates from a whole corpus on the calling thread.
     pub fn extract(&self, corpus: &Corpus) -> CandidateSet {
+        self.extract_parallel(corpus, Pool::exact(1))
+    }
+
+    /// Extract candidates on `pool`: [`CandidateExtractor::extract_doc`]
+    /// per document, concatenated in document order, so the output is
+    /// byte-identical at every worker count.
+    pub fn extract_parallel(&self, corpus: &Corpus, pool: Pool) -> CandidateSet {
         let _span = observe::span("extract_corpus");
-        let time_docs = observe::doc_timings_enabled();
-        let mut candidates = Vec::new();
-        for (id, doc) in corpus.iter() {
-            let t0 = time_docs.then(std::time::Instant::now);
-            candidates.extend(self.extract_doc(id, doc));
-            if let Some(t0) = t0 {
-                observe::doc_stage_ns(&doc.name, "candgen", t0.elapsed().as_nanos() as u64);
-            }
-        }
+        let ids: Vec<DocId> = corpus.doc_ids().collect();
+        let per_doc = pool.map_docs(
+            "candgen",
+            &ids,
+            |&id| corpus.doc(id).name.as_str(),
+            |&id| self.extract_doc(id, corpus.doc(id)),
+        );
         CandidateSet {
             schema: self.schema.clone(),
-            candidates,
+            candidates: per_doc.into_iter().flatten().collect(),
         }
     }
 }
@@ -360,72 +366,6 @@ mod tests {
     }
 }
 
-/// Parallel extraction: documents are independent units of work during
-/// candidate generation, so each document is one task on the shared
-/// [`fonduer_par::Pool`]; per-document results are concatenated in
-/// document order, so the output is byte-identical to
-/// [`CandidateExtractor::extract`] at every thread count.
-impl CandidateExtractor {
-    /// Extract candidates using `n_threads` workers (`0` = auto; the
-    /// `FONDUER_THREADS` environment variable overrides either way — see
-    /// [`fonduer_par::resolve_threads`]).
-    pub fn extract_parallel(&self, corpus: &Corpus, n_threads: usize) -> CandidateSet {
-        let pool = fonduer_par::Pool::new(n_threads);
-        if pool.n_threads() == 1 || corpus.len() < 2 {
-            return self.extract(corpus);
-        }
-        let _span = observe::span("extract_corpus");
-        let time_docs = observe::doc_timings_enabled();
-        let doc_ids: Vec<DocId> = corpus.doc_ids().collect();
-        // Workers measure per-document time; the calling thread records it
-        // in input order below, so the DocTimings table (and its cap
-        // eviction) is deterministic at every thread count.
-        let per_doc = pool.par_map(&doc_ids, |&id| {
-            let t0 = time_docs.then(std::time::Instant::now);
-            let cands = self.extract_doc(id, corpus.doc(id));
-            (cands, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-        });
-        let mut candidates = Vec::new();
-        for (&id, (cands, ns)) in doc_ids.iter().zip(per_doc) {
-            if time_docs {
-                observe::doc_stage_ns(&corpus.doc(id).name, "candgen", ns);
-            }
-            candidates.extend(cands);
-        }
-        CandidateSet {
-            schema: self.schema.clone(),
-            candidates,
-        }
-    }
-
-    /// Extract candidates for a subset of documents only — the dirty-doc
-    /// path of shard-cached sessions. Returns one `(candidates, worker ns)`
-    /// pair per id, in `ids` order; the caller records the timings in input
-    /// order (the same reduction contract as
-    /// [`CandidateExtractor::extract_parallel`]) and is responsible for the
-    /// `extract_corpus` span. Worker ns is 0 when per-document timing is
-    /// disabled.
-    pub fn extract_docs(
-        &self,
-        corpus: &Corpus,
-        ids: &[DocId],
-        n_threads: usize,
-    ) -> Vec<(Vec<Candidate>, u64)> {
-        let time_docs = observe::doc_timings_enabled();
-        let work = |id: &DocId| {
-            let t0 = time_docs.then(std::time::Instant::now);
-            let cands = self.extract_doc(*id, corpus.doc(*id));
-            (cands, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-        };
-        let pool = fonduer_par::Pool::new(n_threads);
-        if pool.n_threads() == 1 || ids.len() < 2 {
-            ids.iter().map(work).collect()
-        } else {
-            pool.par_map(ids, work)
-        }
-    }
-}
-
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
@@ -458,21 +398,10 @@ mod parallel_tests {
             ],
         );
         let seq = ex.extract(&corpus);
+        assert!(!seq.is_empty());
         for threads in [1, 2, 3, 8] {
-            let par = ex.extract_parallel(&corpus, threads);
+            let par = ex.extract_parallel(&corpus, Pool::exact(threads));
             assert_eq!(seq.candidates, par.candidates, "threads={threads}");
         }
-        // The dirty-doc subset path concatenates to the same result.
-        for threads in [1, 4] {
-            let ids: Vec<DocId> = corpus.doc_ids().collect();
-            let per_doc = ex.extract_docs(&corpus, &ids, threads);
-            assert_eq!(per_doc.len(), ids.len());
-            let concat: Vec<Candidate> = per_doc.into_iter().flat_map(|(c, _)| c).collect();
-            assert_eq!(seq.candidates, concat, "threads={threads}");
-        }
-        // A strict subset extracts only those documents' candidates.
-        let subset = ex.extract_docs(&corpus, &[DocId(2)], 1);
-        assert!(subset[0].0.iter().all(|c| c.doc == DocId(2)));
-        assert!(!subset[0].0.is_empty());
     }
 }

@@ -32,6 +32,9 @@ pub use eval::{
     compare_with_existing_kb, eval_tuples, gold_tuples_for_docs, oracle_upper_bound, KbComparison,
     PrF1, Tuple,
 };
+/// The worker pool the corpus stages' parallel entry points take
+/// (`extract_parallel`, `featurize_parallel`, `LabelMatrix::apply_parallel`).
+pub use fonduer_par::Pool;
 pub use kb::KnowledgeBase;
 pub use pipeline::{
     is_train_doc, reachable_tuples, run_task, Learner, PipelineConfig, PipelineConfigBuilder,

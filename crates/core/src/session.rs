@@ -64,6 +64,7 @@ use fonduer_learning::{
 use fonduer_nlp::{fnv1a, HashedVocab};
 use fonduer_observe as observe;
 use fonduer_observe::{MentionProvenance, ProvenanceMeta, ProvenanceRecord};
+use fonduer_par::Pool;
 use fonduer_supervision::{
     GenerativeModel, GenerativeOptions, LabelBlock, LabelMatrix, LabelingFunction, LfDiagnostics,
 };
@@ -200,6 +201,14 @@ struct CandidateArtifact {
     ranges: Vec<(u32, u32)>,
 }
 
+impl CandidateArtifact {
+    /// The candidates of the document at corpus position `i`.
+    fn doc_candidates(&self, i: usize) -> &[Candidate] {
+        let (lo, hi) = self.ranges[i];
+        &self.set.candidates[lo as usize..hi as usize]
+    }
+}
+
 /// Default shard capacity before the first corpus-sized resize.
 const DEFAULT_SHARD_CAPACITY: usize = 64;
 
@@ -267,6 +276,64 @@ fn hash_parts(tag: &str, parts: &[u64]) -> u64 {
         key.extend_from_slice(&p.to_le_bytes());
     }
     fnv1a(&key)
+}
+
+/// The borrowed session state a shard-resolving pass needs.
+struct ShardPass<'s> {
+    corpus: &'s Corpus,
+    doc_hashes: &'s [u64],
+    pool: Pool,
+    /// Collects the names of documents whose shards were recomputed.
+    recomputed: &'s mut BTreeSet<String>,
+}
+
+impl ShardPass<'_> {
+    /// One shard per corpus position in `positions`, in order: cache hits
+    /// first, then `compute` for every miss on the pool (per-document
+    /// timings recorded under `stage`), each fresh shard inserted into
+    /// `cache` under `(document content hash, config)`.
+    fn resolve<S: Send>(
+        &mut self,
+        cache: &mut ShardCache<S>,
+        config: u64,
+        stage: &'static str,
+        positions: &[usize],
+        compute: impl Fn(usize, &Document) -> S + Sync,
+    ) -> Vec<Arc<S>> {
+        let (corpus, doc_hashes) = (self.corpus, self.doc_hashes);
+        let key = |i: usize| ShardKey {
+            doc_hash: doc_hashes[i],
+            config,
+        };
+        let mut plan: Vec<Option<Arc<S>>> = positions.iter().map(|&i| cache.get(key(i))).collect();
+        let missing: Vec<usize> = positions
+            .iter()
+            .zip(&plan)
+            .filter(|(_, s)| s.is_none())
+            .map(|(&i, _)| i)
+            .collect();
+        let doc = |i: usize| corpus.doc(DocId::from_usize(i));
+        let mut computed = self
+            .pool
+            .map_docs(
+                stage,
+                &missing,
+                |&i| doc(i).name.as_str(),
+                |&i| compute(i, doc(i)),
+            )
+            .into_iter();
+        for (slot, &i) in plan.iter_mut().zip(positions) {
+            if slot.is_none() {
+                let shard = Arc::new(computed.next().expect("one shard per miss"));
+                self.recomputed.insert(doc(i).name.clone());
+                cache.insert(key(i), Arc::clone(&shard));
+                *slot = Some(shard);
+            }
+        }
+        plan.into_iter()
+            .map(|s| s.expect("every shard resolved above"))
+            .collect()
+    }
 }
 
 /// A stateful, incrementally re-runnable pipeline over one corpus.
@@ -753,65 +820,32 @@ impl<'a> PipelineSession<'a> {
         let cfg_fp = hash_parts("shard.cand", &[self.extractor.fingerprint()]);
         let n = self.corpus.len();
         self.shards.resize_for(n);
-        let corpus: &Corpus = &self.corpus;
         let extractor = self.extractor;
-        let n_threads = self.cfg.n_threads;
-        let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.candidates;
-        let recomputed = &mut self.recomputed;
+        let mut pass = ShardPass {
+            corpus: &self.corpus,
+            doc_hashes: &self.doc_hashes,
+            pool: Pool::new(self.cfg.n_threads),
+            recomputed: &mut self.recomputed,
+        };
         let (value, took) = progress_stage("candgen", || {
             observe::timed("candgen", || {
-                // Per-document shard plan: content-addressed lookups first,
-                // then one parallel pass over only the misses. The
-                // `extract_corpus` span covers only this per-document work
-                // (what the doc-timings table measures); the merge below is
-                // corpus-global reduction, outside it.
-                let plan = {
+                // The `extract_corpus` span covers only the per-document
+                // work (what the doc-timings table measures); the merge
+                // below is corpus-global reduction, outside it.
+                let positions: Vec<usize> = (0..n).collect();
+                let shards = {
                     let _span = observe::span("extract_corpus");
-                    let time_docs = observe::doc_timings_enabled();
-                    let mut plan: Vec<Option<Arc<Vec<Candidate>>>> = (0..n)
-                        .map(|i| {
-                            cache.get(ShardKey {
-                                doc_hash: doc_hashes[i],
-                                config: cfg_fp,
-                            })
-                        })
-                        .collect();
-                    let missing: Vec<DocId> = plan
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_none())
-                        .map(|(i, _)| DocId::from_usize(i))
-                        .collect();
-                    if !missing.is_empty() {
-                        let computed = extractor.extract_docs(corpus, &missing, n_threads);
-                        for (&id, (cands, ns)) in missing.iter().zip(computed) {
-                            let name = &corpus.doc(id).name;
-                            if time_docs {
-                                observe::doc_stage_ns(name, "candgen", ns);
-                            }
-                            recomputed.insert(name.clone());
-                            let shard = Arc::new(cands);
-                            cache.insert(
-                                ShardKey {
-                                    doc_hash: doc_hashes[id.index()],
-                                    config: cfg_fp,
-                                },
-                                Arc::clone(&shard),
-                            );
-                            plan[id.index()] = Some(shard);
-                        }
-                    }
-                    plan
+                    pass.resolve(cache, cfg_fp, "candgen", &positions, |i, doc| {
+                        extractor.extract_doc(DocId::from_usize(i), doc)
+                    })
                 };
-                // Deterministic input-order merge (the fonduer-par reduction
-                // contract), re-pointing each candidate at its current
-                // corpus position so shards survive the DocId shifts a
-                // removal causes.
+                // Input-order merge, re-pointing each candidate at its
+                // current corpus position so shards survive the DocId
+                // shifts a removal causes.
                 let mut candidates = Vec::new();
                 let mut ranges = Vec::with_capacity(n);
-                for (i, shard) in plan.iter().enumerate() {
-                    let shard = shard.as_ref().expect("every shard resolved above");
+                for (i, shard) in shards.iter().enumerate() {
                     let lo = candidates.len() as u32;
                     let id = DocId::from_usize(i);
                     candidates.extend(shard.iter().map(|c| Candidate::new(id, c.mentions.clone())));
@@ -881,78 +915,31 @@ impl<'a> PipelineSession<'a> {
         );
         let n = self.corpus.len();
         self.shards.resize_for(n);
-        let corpus: &Corpus = &self.corpus;
         let art = &self.candidates.as_ref().unwrap().value;
         let featurizer = Featurizer::new(self.cfg.features);
         let hashing_bits = self.cfg.features.hashing_bits;
-        let n_threads = self.cfg.n_threads;
-        let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.features;
-        let recomputed = &mut self.recomputed;
+        let mut pass = ShardPass {
+            corpus: &self.corpus,
+            doc_hashes: &self.doc_hashes,
+            pool: Pool::new(self.cfg.n_threads),
+            recomputed: &mut self.recomputed,
+        };
         let (feats, took) = progress_stage("featurize", || {
             observe::timed("featurize", || {
-                // The `featurize_corpus` span covers only the per-document
-                // work (what the doc-timings table measures); the merge
-                // below is corpus-global reduction, outside it.
-                let plan = {
+                let positions: Vec<usize> = (0..n).collect();
+                let shards = {
                     let _span = observe::span("featurize_corpus");
-                    let time_docs = observe::doc_timings_enabled();
-                    let mut plan: Vec<Option<Arc<DocFeatureShard>>> = (0..n)
-                        .map(|i| {
-                            cache.get(ShardKey {
-                                doc_hash: doc_hashes[i],
-                                config: cfg_fp,
-                            })
-                        })
-                        .collect();
-                    let missing: Vec<usize> = plan
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_none())
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !missing.is_empty() {
-                        let work = |&i: &usize| {
-                            let t0 = time_docs.then(std::time::Instant::now);
-                            let (lo, hi) = art.ranges[i];
-                            let shard = featurizer.featurize_doc(
-                                corpus.doc(DocId::from_usize(i)),
-                                &art.set.candidates[lo as usize..hi as usize],
-                            );
-                            (shard, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-                        };
-                        let pool = fonduer_par::Pool::new(n_threads);
-                        let computed: Vec<(DocFeatureShard, u64)> =
-                            if pool.n_threads() == 1 || missing.len() < 2 {
-                                missing.iter().map(work).collect()
-                            } else {
-                                pool.par_map(&missing, work)
-                            };
-                        for (&i, (shard, ns)) in missing.iter().zip(computed) {
-                            let name = &corpus.doc(DocId::from_usize(i)).name;
-                            if time_docs {
-                                observe::doc_stage_ns(name, "featurize", ns);
-                            }
-                            recomputed.insert(name.clone());
-                            let shard = Arc::new(shard);
-                            cache.insert(
-                                ShardKey {
-                                    doc_hash: doc_hashes[i],
-                                    config: cfg_fp,
-                                },
-                                Arc::clone(&shard),
-                            );
-                            plan[i] = Some(shard);
-                        }
-                    }
-                    plan
+                    pass.resolve(cache, cfg_fp, "featurize", &positions, |i, doc| {
+                        featurizer.featurize_doc(doc, art.doc_candidates(i))
+                    })
                 };
                 // Input-order merge: shard-local feature ids remap through
                 // a shared vocab in first-occurrence order, reproducing the
                 // sequential featurizer's intern order byte for byte.
                 let mut merger = FeatureShardMerger::new(hashing_bits);
-                for shard in &plan {
-                    merger.push(shard.as_ref().expect("every shard resolved above"));
+                for shard in &shards {
+                    merger.push(shard);
                 }
                 merger.finish()
             })
@@ -1027,10 +1014,13 @@ impl<'a> PipelineSession<'a> {
         let (train_docs, _) = &self.split.as_ref().unwrap().value;
         let lfs = self.lfs;
         let gen_opts = &self.cfg.gen_opts;
-        let n_threads = self.cfg.n_threads;
-        let doc_hashes = &self.doc_hashes;
         let cache = &mut self.shards.labels;
-        let recomputed = &mut self.recomputed;
+        let mut pass = ShardPass {
+            corpus,
+            doc_hashes: &self.doc_hashes,
+            pool: Pool::new(self.cfg.n_threads),
+            recomputed: &mut self.recomputed,
+        };
         let ((label_matrix, train_idx, train_marginals, label_coverage), took) =
             progress_stage("supervise", || {
                 observe::timed("supervise", || {
@@ -1040,65 +1030,11 @@ impl<'a> PipelineSession<'a> {
                     let train_positions: Vec<usize> = (0..n)
                         .filter(|&i| train_docs.contains(&corpus.doc(DocId::from_usize(i)).name))
                         .collect();
-                    let blocks: Vec<Arc<LabelBlock>> = {
+                    let blocks = {
                         let _span = observe::span("lf_apply");
-                        let time_docs = observe::doc_timings_enabled();
-                        let mut plan: Vec<Option<Arc<LabelBlock>>> = train_positions
-                            .iter()
-                            .map(|&i| {
-                                cache.get(ShardKey {
-                                    doc_hash: doc_hashes[i],
-                                    config: cfg_fp,
-                                })
-                            })
-                            .collect();
-                        // Missing slots, as indices into `train_positions`.
-                        let missing: Vec<usize> = plan
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.is_none())
-                            .map(|(k, _)| k)
-                            .collect();
-                        if !missing.is_empty() {
-                            let work = |&k: &usize| {
-                                let t0 = time_docs.then(std::time::Instant::now);
-                                let i = train_positions[k];
-                                let (lo, hi) = art.ranges[i];
-                                let block = LabelBlock::compute(
-                                    &lf_refs,
-                                    corpus.doc(DocId::from_usize(i)),
-                                    &art.set.candidates[lo as usize..hi as usize],
-                                );
-                                (block, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
-                            };
-                            let pool = fonduer_par::Pool::new(n_threads);
-                            let computed: Vec<(LabelBlock, u64)> =
-                                if pool.n_threads() == 1 || missing.len() < 2 {
-                                    missing.iter().map(work).collect()
-                                } else {
-                                    pool.par_map(&missing, work)
-                                };
-                            for (&k, (block, ns)) in missing.iter().zip(computed) {
-                                let i = train_positions[k];
-                                let name = &corpus.doc(DocId::from_usize(i)).name;
-                                if time_docs {
-                                    observe::doc_stage_ns(name, "lf_apply", ns);
-                                }
-                                recomputed.insert(name.clone());
-                                let block = Arc::new(block);
-                                cache.insert(
-                                    ShardKey {
-                                        doc_hash: doc_hashes[i],
-                                        config: cfg_fp,
-                                    },
-                                    Arc::clone(&block),
-                                );
-                                plan[k] = Some(block);
-                            }
-                        }
-                        plan.into_iter()
-                            .map(|b| b.expect("every block resolved above"))
-                            .collect()
+                        pass.resolve(cache, cfg_fp, "lf_apply", &train_positions, |i, doc| {
+                            LabelBlock::compute(&lf_refs, doc, art.doc_candidates(i))
+                        })
                     };
                     let label_matrix =
                         LabelMatrix::from_blocks(lfs.len(), blocks.iter().map(|b| b.as_ref()));

@@ -13,11 +13,11 @@
 
 use crate::binary::binary_features_into;
 use crate::config::FeatureConfig;
-use crate::intern::{dedup_row, FeatureSink, ShardedInterner, DELTA_BIT};
+use crate::intern::{dedup_row, FeatureSink, SymbolArena};
 use crate::sparse::CsrMatrix;
 use crate::unary::unary_features_into;
 use fonduer_candidates::{Candidate, CandidateSet};
-use fonduer_datamodel::{Corpus, DocId, Document, Span};
+use fonduer_datamodel::{Corpus, Document, Span};
 use fonduer_observe as observe;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -329,309 +329,23 @@ impl Featurizer {
     }
 }
 
-/// Raw per-chunk output of a parallel featurization worker.
-struct ChunkOut {
-    /// All rows back-to-back; in interned mode symbol ids may carry
-    /// [`DELTA_BIT`] (chunk-local names awaiting the input-order merge).
-    flat: Vec<(u32, u8)>,
-    /// Row boundaries into `flat` (`n_rows + 1` offsets).
-    offsets: Vec<u32>,
-    /// Chunk-local first-occurrence vocabulary of names the shared base
-    /// didn't resolve (empty in hashing mode).
-    delta: FeatureVocab,
-    stats: CacheStats,
-    tally: [u64; 5],
-    /// Per-document wall time measured on the worker, recorded into the
-    /// DocTimings table by the caller **in input order** (empty when
-    /// per-document timing is disabled).
-    doc_ns: Vec<(DocId, u64)>,
-}
-
-/// Minimum candidate count before parallel featurization pays for itself.
-const PAR_MIN_CANDIDATES: usize = 8;
-/// Minimum candidates per chunk (granularity floor).
-const PAR_MIN_CHUNK: usize = 8;
-
-/// Split `cands` into contiguous chunks at document boundaries only (the
-/// mention cache is per-document), each at least `target` candidates so
-/// per-chunk overhead amortizes.
-fn chunk_doc_ranges(cands: &[Candidate], n_threads: usize) -> Vec<(usize, usize)> {
-    let target = (cands.len() / (n_threads * 4)).max(PAR_MIN_CHUNK);
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=cands.len() {
-        let at_boundary = i == cands.len() || cands[i].doc != cands[i - 1].doc;
-        if at_boundary && i - start >= target {
-            out.push((start, i));
-            start = i;
-        }
-    }
-    if start < cands.len() {
-        out.push((start, cands.len()));
-    }
-    out
-}
-
-impl Featurizer {
-    /// Parallel featurization on the shared [`fonduer_par::Pool`].
-    ///
-    /// The candidate list is split at document boundaries into chunks of at
-    /// least [`PAR_MIN_CHUNK`] candidates; each worker emits interned
-    /// symbols through a chunk-local [`FeatureSink`], resolving warm names
-    /// against a lock-free [`ShardedInterner`] base and spilling genuinely
-    /// new names into a chunk-local delta vocab. Deltas are merged into the
-    /// global vocabulary **in input order** between waves (and published to
-    /// the base so later waves hit it), which makes the vocabulary column
-    /// order, the CSR rows, and the cache statistics byte-identical to
-    /// [`Featurizer::featurize`] at every thread count. Hashing mode needs
-    /// no vocabulary at all, so it runs as one wave of final rows.
-    pub fn featurize_parallel(
-        &self,
-        corpus: &Corpus,
-        cands: &CandidateSet,
-        n_threads: usize,
-    ) -> FeatureSet {
-        self.featurize_pooled(corpus, cands, fonduer_par::Pool::new(n_threads))
-    }
-
-    /// Force the sharded chunk-and-merge execution with exactly
-    /// `n_workers` OS workers, bypassing `fonduer_par`'s hardware cap.
-    /// Output is byte-identical to [`Featurizer::featurize`] at every
-    /// worker count; the golden determinism tests use this to exercise the
-    /// shared-interner merge machinery even on a single-core host, where
-    /// [`Featurizer::featurize_parallel`] would fall back to sequential.
-    pub fn featurize_sharded(
-        &self,
-        corpus: &Corpus,
-        cands: &CandidateSet,
-        n_workers: usize,
-    ) -> FeatureSet {
-        self.featurize_pooled(corpus, cands, fonduer_par::Pool::exact(n_workers))
-    }
-
-    fn featurize_pooled(
-        &self,
-        corpus: &Corpus,
-        cands: &CandidateSet,
-        pool: fonduer_par::Pool,
-    ) -> FeatureSet {
-        if pool.n_threads() == 1 || cands.len() < PAR_MIN_CANDIDATES {
-            return self.featurize(corpus, cands);
-        }
-        let chunks = chunk_doc_ranges(&cands.candidates, pool.n_threads());
-        if chunks.len() < 2 {
-            return self.featurize(corpus, cands);
-        }
-        let _span = observe::span("featurize_corpus");
-        let hashed = self.cfg.hashing_bits > 0;
-        let mut vocab = FeatureVocab::new();
-        let mut csr = CsrMatrix::new();
-        let mut stats = CacheStats::default();
-        let mut tally = [0u64; 5];
-        let mut row_modality: Option<Vec<[u32; 5]>> =
-            hashed.then(|| Vec::with_capacity(cands.len()));
-        let mut row_buf: Vec<(u32, u8)> = Vec::with_capacity(128);
-        if hashed {
-            // Bucket ids are final: one wave, workers emit finished rows.
-            let outs = pool.par_map(&chunks, |&(lo, hi)| {
-                self.featurize_chunk(corpus, &cands.candidates[lo..hi], None)
-            });
-            for mut out in outs {
-                record_doc_ns(corpus, &mut out);
-                merge_chunk(
-                    out,
-                    &mut vocab,
-                    None,
-                    &mut csr,
-                    &mut stats,
-                    &mut tally,
-                    row_modality.as_mut(),
-                    &mut row_buf,
-                );
-            }
-        } else {
-            // Interned mode: waves of chunks; after each wave the deltas
-            // are folded into the global vocab in input order and published
-            // to the shared base, so later waves resolve them lock-free.
-            let base = ShardedInterner::new();
-            for wave in chunks.chunks(pool.n_threads() * 2) {
-                let outs = pool.par_map(wave, |&(lo, hi)| {
-                    self.featurize_chunk(corpus, &cands.candidates[lo..hi], Some(&base))
-                });
-                for mut out in outs {
-                    record_doc_ns(corpus, &mut out);
-                    merge_chunk(
-                        out,
-                        &mut vocab,
-                        Some(&base),
-                        &mut csr,
-                        &mut stats,
-                        &mut tally,
-                        None,
-                        &mut row_buf,
-                    );
-                }
-            }
-        }
-        flush_tally(&tally, &stats);
-        FeatureSet {
-            vocab,
-            matrix: Arc::new(csr),
-            stats,
-            hashing_bits: self.cfg.hashing_bits,
-            row_modality,
-        }
-    }
-
-    /// Featurize one contiguous chunk of candidates (whole documents) with
-    /// a chunk-local sink; `base = None` selects hashing mode.
-    fn featurize_chunk(
-        &self,
-        corpus: &Corpus,
-        cands: &[Candidate],
-        base: Option<&ShardedInterner>,
-    ) -> ChunkOut {
-        let mut delta = FeatureVocab::new();
-        let mut flat: Vec<(u32, u8)> = Vec::with_capacity(cands.len() * 64);
-        let mut offsets: Vec<u32> = Vec::with_capacity(cands.len() + 1);
-        offsets.push(0);
-        let mut stats = CacheStats::default();
-        let mut cache: MentionCache = HashMap::new();
-        let mut current_doc = None;
-        let time_docs = observe::doc_timings_enabled();
-        let mut doc_ns: Vec<(DocId, u64)> = Vec::new();
-        let mut doc_t0 = std::time::Instant::now();
-        let tally;
-        {
-            let mut sink = match base {
-                Some(b) => FeatureSink::shared(b, &mut delta),
-                None => FeatureSink::hashed(self.cfg.hashing_bits),
-            };
-            for cand in cands {
-                if current_doc != Some(cand.doc) {
-                    if time_docs {
-                        if let Some(prev) = current_doc {
-                            doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                        }
-                        doc_t0 = std::time::Instant::now();
-                    }
-                    cache.clear();
-                    current_doc = Some(cand.doc);
-                }
-                let doc = corpus.doc(cand.doc);
-                self.candidate_into(
-                    doc,
-                    cand,
-                    &mut sink,
-                    self.cache_enabled.then_some(&mut cache),
-                    &mut stats,
-                );
-                let row = sink.row_mut();
-                // Dedup by (possibly delta-tagged) id in the worker: a name
-                // maps to exactly one id within the chunk, so this removes
-                // the same duplicates the sequential path would.
-                dedup_row(row);
-                flat.extend_from_slice(row);
-                row.clear();
-                offsets.push(flat.len() as u32);
-            }
-            if time_docs {
-                if let Some(prev) = current_doc {
-                    doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                }
-            }
-            tally = sink.tally();
-        }
-        ChunkOut {
-            flat,
-            offsets,
-            delta,
-            stats,
-            tally,
-            doc_ns,
-        }
-    }
-}
-
-/// Drain a chunk's worker-measured per-document times into the global
-/// DocTimings table. Called chunk-by-chunk in input order (and chunks are
-/// document-atomic), so table insertion order — and therefore cap
-/// eviction — is identical at every thread count.
-fn record_doc_ns(corpus: &Corpus, out: &mut ChunkOut) {
-    for (doc, ns) in out.doc_ns.drain(..) {
-        observe::doc_stage_ns(&corpus.doc(doc).name, "featurize", ns);
-    }
-}
-
-/// Fold one chunk's output into the global artifacts (must be called in
-/// input order): intern the chunk's delta names (publishing them to the
-/// shared base), remap delta-tagged ids to global columns, re-dedup (a
-/// spurious base miss can duplicate a global symbol), and append the rows.
-#[allow(clippy::too_many_arguments)]
-fn merge_chunk(
-    out: ChunkOut,
-    vocab: &mut FeatureVocab,
-    base: Option<&ShardedInterner>,
-    csr: &mut CsrMatrix,
-    stats: &mut CacheStats,
-    tally: &mut [u64; 5],
-    mut row_modality: Option<&mut Vec<[u32; 5]>>,
-    row_buf: &mut Vec<(u32, u8)>,
-) {
-    let remap: Vec<u32> = (0..out.delta.len() as u32)
-        .map(|i| {
-            let name = out.delta.name(i);
-            let gid = vocab.intern(name);
-            if let Some(base) = base {
-                base.insert(name, gid);
-            }
-            gid
-        })
-        .collect();
-    for w in out.offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        row_buf.clear();
-        row_buf.extend(out.flat[lo..hi].iter().map(|&(id, m)| {
-            if id & DELTA_BIT != 0 {
-                (remap[(id & !DELTA_BIT) as usize], m)
-            } else {
-                (id, m)
-            }
-        }));
-        dedup_row(row_buf);
-        if let Some(rm) = row_modality.as_deref_mut() {
-            let mut counts = [0u32; 5];
-            for &(_, m) in row_buf.iter() {
-                counts[(m as usize).min(4)] += 1;
-            }
-            rm.push(counts);
-        }
-        csr.push_ids(row_buf.iter().map(|&(id, _)| id));
-    }
-    stats.hits += out.stats.hits;
-    stats.misses += out.stats.misses;
-    for (t, v) in tally.iter_mut().zip(out.tally) {
-        *t += v;
-    }
-}
-
 /// One document's featurization shard: self-contained CSR-block rows for
-/// that document's candidates. In interned mode every symbol id is
-/// [`DELTA_BIT`]-tagged and indexes the shard's own first-occurrence
-/// `delta` vocabulary; in hashing mode ids are final buckets and the delta
-/// is empty. Shards carry no document id — sessions key them by
-/// `(document content hash, feature-config fingerprint)` and stitch them
-/// into a corpus-level [`FeatureSet`] with a [`FeatureShardMerger`], so a
-/// document's shard stays valid when other documents are inserted or
-/// removed around it.
+/// that document's candidates. In interned mode every symbol id indexes
+/// the shard's own first-occurrence `delta` vocabulary; in hashing mode
+/// ids are final buckets and the delta is empty. Shards carry no document
+/// id — sessions key them by `(document content hash, feature-config
+/// fingerprint)` and stitch them into a corpus-level [`FeatureSet`] with a
+/// [`FeatureShardMerger`], so a document's shard stays valid when other
+/// documents are inserted or removed around it.
 #[derive(Debug, Clone)]
 pub struct DocFeatureShard {
-    /// All rows back-to-back (already deduped within each row by local id).
+    /// All rows back-to-back, deduped within each row (hashed rows are also
+    /// sorted by bucket).
     flat: Vec<(u32, u8)>,
     /// Row boundaries into `flat` (`n_rows + 1` offsets).
     offsets: Vec<u32>,
     /// Shard-local first-occurrence vocabulary (empty in hashing mode).
-    delta: FeatureVocab,
+    delta: SymbolArena,
     stats: CacheStats,
     tally: [u64; 5],
     /// `FeatureConfig::hashing_bits` the shard was built with.
@@ -665,12 +379,14 @@ impl Featurizer {
     /// byte-for-byte.
     pub fn featurize_doc(&self, doc: &Document, cands: &[Candidate]) -> DocFeatureShard {
         let hashed = self.cfg.hashing_bits > 0;
-        let mut delta = FeatureVocab::new();
+        let mut delta = SymbolArena::new();
         let mut flat: Vec<(u32, u8)> = Vec::with_capacity(cands.len() * 64);
         let mut offsets: Vec<u32> = Vec::with_capacity(cands.len() + 1);
         offsets.push(0);
         let mut stats = CacheStats::default();
         let mut cache: MentionCache = HashMap::new();
+        // `seen[local]` is the stamp of the last row that emitted `local`.
+        let mut seen: Vec<u32> = Vec::new();
         let tally;
         {
             let mut sink = if hashed {
@@ -687,11 +403,25 @@ impl Featurizer {
                     &mut stats,
                 );
                 let row = sink.row_mut();
-                // Dedup by local id in the shard: a name maps to exactly one
-                // delta id, so this removes the same duplicates the
-                // sequential path would.
-                dedup_row(row);
-                flat.extend_from_slice(row);
+                if hashed {
+                    // Bucket ids are final: store the row sorted and deduped.
+                    dedup_row(row);
+                    flat.extend_from_slice(row);
+                } else {
+                    // Local ids only need deduping (first occurrence kept);
+                    // the merge orders them by global column.
+                    let stamp = offsets.len() as u32;
+                    for &(local, m) in row.iter() {
+                        let l = local as usize;
+                        if l >= seen.len() {
+                            seen.resize(l + 1, 0);
+                        }
+                        if seen[l] != stamp {
+                            seen[l] = stamp;
+                            flat.push((local, m));
+                        }
+                    }
+                }
                 row.clear();
                 offsets.push(flat.len() as u32);
             }
@@ -706,16 +436,42 @@ impl Featurizer {
             hashing_bits: self.cfg.hashing_bits,
         }
     }
+
+    /// Featurize on `pool`: [`Featurizer::featurize_doc`] per document run
+    /// of the candidate set, folded in input order through a
+    /// [`FeatureShardMerger`] — the same path shard-cached sessions take.
+    /// Output is byte-identical to [`Featurizer::featurize`] at every
+    /// worker count.
+    pub fn featurize_parallel(
+        &self,
+        corpus: &Corpus,
+        cands: &CandidateSet,
+        pool: fonduer_par::Pool,
+    ) -> FeatureSet {
+        let shards = {
+            let _span = observe::span("featurize_corpus");
+            pool.map_docs(
+                "featurize",
+                &cands.doc_runs(),
+                |(doc, _)| corpus.doc(*doc).name.as_str(),
+                |(doc, rows)| self.featurize_doc(corpus.doc(*doc), &cands.candidates[rows.clone()]),
+            )
+        };
+        let mut merger = FeatureShardMerger::new(self.cfg.hashing_bits);
+        for shard in &shards {
+            merger.push(shard);
+        }
+        merger.finish()
+    }
 }
 
 /// Input-order reducer stitching [`DocFeatureShard`]s into one
-/// [`FeatureSet`] — the same reduction contract `featurize_parallel` uses
-/// for chunk deltas, packaged for shard-cached sessions. Push shards in
-/// corpus order; each shard's delta names are interned into the global
-/// vocabulary in first-occurrence order, its rows remapped to global
-/// columns and re-deduped, and its cache statistics accumulated. The
-/// finished artifact is byte-identical to [`Featurizer::featurize`] over
-/// the concatenated candidates.
+/// [`FeatureSet`] — the fold behind [`Featurizer::featurize_parallel`] and
+/// shard-cached sessions. Push shards in corpus order; each shard's local
+/// names are interned into the global vocabulary in first-occurrence
+/// order, its rows remapped to sorted global columns, and its cache
+/// statistics accumulated. The finished artifact is byte-identical to
+/// [`Featurizer::featurize`] over the concatenated candidates.
 pub struct FeatureShardMerger {
     hashing_bits: u8,
     vocab: FeatureVocab,
@@ -723,8 +479,14 @@ pub struct FeatureShardMerger {
     stats: CacheStats,
     tally: [u64; 5],
     row_modality: Option<Vec<[u32; 5]>>,
-    row_buf: Vec<(u32, u8)>,
+    /// Per shard: global column of each local symbol.
     remap: Vec<u32>,
+    /// Per shard: local symbols ordered by global column.
+    by_col: Vec<u32>,
+    /// Per shard: position of each local symbol in `by_col`.
+    rank: Vec<u32>,
+    /// One bit per `by_col` position: the current row's members.
+    bits: Vec<u64>,
 }
 
 impl FeatureShardMerger {
@@ -738,67 +500,75 @@ impl FeatureShardMerger {
             stats: CacheStats::default(),
             tally: [0; 5],
             row_modality: (hashing_bits > 0).then(Vec::new),
-            row_buf: Vec::with_capacity(128),
             remap: Vec::new(),
+            by_col: Vec::new(),
+            rank: Vec::new(),
+            bits: Vec::new(),
         }
     }
 
     /// Append one document's shard (must be called in corpus order).
     pub fn push(&mut self, shard: &DocFeatureShard) {
         debug_assert_eq!(shard.hashing_bits, self.hashing_bits);
-        if self.hashing_bits > 0 {
-            // Hashed mode: shard ids are final buckets and each row is
-            // already sorted and deduped, so rows stream straight into the
-            // CSR with no remap, copy, or re-sort.
-            debug_assert_eq!(shard.delta.len(), 0);
-            for w in shard.offsets.windows(2) {
-                let row = &shard.flat[w[0] as usize..w[1] as usize];
-                if let Some(rm) = self.row_modality.as_mut() {
-                    let mut counts = [0u32; 5];
-                    for &(_, m) in row {
-                        counts[(m as usize).min(4)] += 1;
-                    }
-                    rm.push(counts);
-                }
-                self.csr.push_ids(row.iter().map(|&(id, _)| id));
-            }
-            self.stats.hits += shard.stats.hits;
-            self.stats.misses += shard.stats.misses;
-            for (t, v) in self.tally.iter_mut().zip(shard.tally) {
-                *t += v;
-            }
-            return;
-        }
-        self.remap.clear();
-        for i in 0..shard.delta.len() as u32 {
-            let gid = self.vocab.intern(shard.delta.name(i));
-            self.remap.push(gid);
-        }
-        for w in shard.offsets.windows(2) {
-            let (lo, hi) = (w[0] as usize, w[1] as usize);
-            self.row_buf.clear();
-            self.row_buf
-                .extend(shard.flat[lo..hi].iter().map(|&(id, m)| {
-                    if id & DELTA_BIT != 0 {
-                        (self.remap[(id & !DELTA_BIT) as usize], m)
-                    } else {
-                        (id, m)
-                    }
-                }));
-            dedup_row(&mut self.row_buf);
-            if let Some(rm) = self.row_modality.as_mut() {
-                let mut counts = [0u32; 5];
-                for &(_, m) in self.row_buf.iter() {
-                    counts[(m as usize).min(4)] += 1;
-                }
-                rm.push(counts);
-            }
-            self.csr.push_ids(self.row_buf.iter().map(|&(id, _)| id));
-        }
         self.stats.hits += shard.stats.hits;
         self.stats.misses += shard.stats.misses;
         for (t, v) in self.tally.iter_mut().zip(shard.tally) {
             *t += v;
+        }
+        if let Some(rm) = self.row_modality.as_mut() {
+            // Hashed mode: shard ids are final buckets and each row is
+            // already sorted and deduped, so rows stream straight into the
+            // CSR with no remap, copy, or re-sort.
+            debug_assert!(shard.delta.is_empty());
+            for w in shard.offsets.windows(2) {
+                let row = &shard.flat[w[0] as usize..w[1] as usize];
+                let mut counts = [0u32; 5];
+                for &(_, m) in row {
+                    counts[(m as usize).min(4)] += 1;
+                }
+                rm.push(counts);
+                self.csr.push_ids(row.iter().map(|&(id, _)| id));
+            }
+            return;
+        }
+        // Interned mode. Ranking the shard's symbols by global column once
+        // turns every row into a bit set over ranks; reading the bits in
+        // order yields the row's sorted global columns without a per-row
+        // sort.
+        let n = shard.delta.len();
+        self.remap.clear();
+        for local in 0..n as u32 {
+            self.remap
+                .push(self.vocab.intern(shard.delta.resolve(local)));
+        }
+        self.by_col.clear();
+        self.by_col.extend(0..n as u32);
+        let remap = &self.remap;
+        self.by_col
+            .sort_unstable_by_key(|&local| remap[local as usize]);
+        self.rank.resize(n, 0);
+        for (r, &local) in self.by_col.iter().enumerate() {
+            self.rank[local as usize] = r as u32;
+        }
+        self.bits.clear();
+        self.bits.resize(n.div_ceil(64), 0);
+        for w in shard.offsets.windows(2) {
+            for &(local, _) in &shard.flat[w[0] as usize..w[1] as usize] {
+                let r = self.rank[local as usize] as usize;
+                self.bits[r / 64] |= 1 << (r % 64);
+            }
+            let (bits, by_col) = (&mut self.bits, &self.by_col);
+            self.csr
+                .push_ids(bits.iter_mut().enumerate().flat_map(|(k, word)| {
+                    let mut set = std::mem::take(word);
+                    std::iter::from_fn(move || {
+                        (set != 0).then(|| {
+                            let b = set.trailing_zeros() as usize;
+                            set &= set - 1;
+                            remap[by_col[k * 64 + b] as usize]
+                        })
+                    })
+                }));
         }
     }
 
@@ -1024,6 +794,8 @@ mod parallel_tests {
         CandidateExtractor, DictionaryMatcher, MentionType, NumberRangeMatcher, RelationSchema,
     };
     use fonduer_datamodel::DocFormat;
+    use fonduer_datamodel::DocId;
+    use fonduer_par::Pool;
     use fonduer_parser::{parse_document, ParseOptions};
 
     fn corpus_and_cands() -> (Corpus, CandidateSet) {
@@ -1062,12 +834,13 @@ mod parallel_tests {
         let (corpus, cands) = corpus_and_cands();
         let f = Featurizer::default();
         let seq = f.featurize(&corpus, &cands);
-        for threads in [2, 3, 16] {
-            let par = f.featurize_sharded(&corpus, &cands, threads);
+        for threads in [1, 2, 3, 16] {
+            let par = f.featurize_parallel(&corpus, &cands, Pool::exact(threads));
             // Byte-identical artifacts: same vocab order, same CSR arrays.
             assert_eq!(par.vocab.len(), seq.vocab.len(), "threads={threads}");
             for c in 0..seq.vocab.len() as u32 {
                 assert_eq!(par.vocab.name(c), seq.vocab.name(c), "threads={threads}");
+                assert_eq!(par.vocab.modality_idx(c), seq.vocab.modality_idx(c));
             }
             assert_eq!(par.matrix, seq.matrix, "threads={threads}");
             assert_eq!(par.stats, seq.stats, "threads={threads}");
@@ -1079,8 +852,8 @@ mod parallel_tests {
         let (corpus, cands) = corpus_and_cands();
         let f = Featurizer::new(FeatureConfig::all().with_hashing(16));
         let seq = f.featurize(&corpus, &cands);
-        for threads in [2, 8] {
-            let par = f.featurize_sharded(&corpus, &cands, threads);
+        for threads in [1, 2, 8] {
+            let par = f.featurize_parallel(&corpus, &cands, Pool::exact(threads));
             assert_eq!(par.matrix, seq.matrix, "threads={threads}");
             assert_eq!(par.stats, seq.stats, "threads={threads}");
             for r in 0..cands.len() {
@@ -1091,53 +864,11 @@ mod parallel_tests {
 
     /// Split a candidate set into per-document contiguous slices.
     fn doc_slices(cands: &CandidateSet) -> Vec<(DocId, &[Candidate])> {
-        let mut out: Vec<(DocId, &[Candidate])> = Vec::new();
-        let mut start = 0usize;
-        for i in 1..=cands.len() {
-            if i == cands.len() || cands.candidates[i].doc != cands.candidates[i - 1].doc {
-                out.push((cands.candidates[start].doc, &cands.candidates[start..i]));
-                start = i;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn doc_shard_merge_matches_sequential() {
-        let (corpus, cands) = corpus_and_cands();
-        let f = Featurizer::default();
-        let seq = f.featurize(&corpus, &cands);
-        let mut merger = FeatureShardMerger::new(0);
-        for (doc, slice) in doc_slices(&cands) {
-            let shard = f.featurize_doc(corpus.doc(doc), slice);
-            assert_eq!(shard.n_rows(), slice.len());
-            merger.push(&shard);
-        }
-        let merged = merger.finish();
-        assert_eq!(merged.vocab.len(), seq.vocab.len());
-        for c in 0..seq.vocab.len() as u32 {
-            assert_eq!(merged.vocab.name(c), seq.vocab.name(c));
-            assert_eq!(merged.vocab.modality_idx(c), seq.vocab.modality_idx(c));
-        }
-        assert_eq!(merged.matrix, seq.matrix);
-        assert_eq!(merged.stats, seq.stats);
-    }
-
-    #[test]
-    fn doc_shard_merge_matches_sequential_hashed() {
-        let (corpus, cands) = corpus_and_cands();
-        let f = Featurizer::new(FeatureConfig::all().with_hashing(16));
-        let seq = f.featurize(&corpus, &cands);
-        let mut merger = FeatureShardMerger::new(16);
-        for (doc, slice) in doc_slices(&cands) {
-            merger.push(&f.featurize_doc(corpus.doc(doc), slice));
-        }
-        let merged = merger.finish();
-        assert_eq!(merged.matrix, seq.matrix);
-        assert_eq!(merged.stats, seq.stats);
-        for r in 0..cands.len() {
-            assert_eq!(merged.modality_counts(r), seq.modality_counts(r), "row {r}");
-        }
+        cands
+            .doc_runs()
+            .into_iter()
+            .map(|(doc, rows)| (doc, &cands.candidates[rows]))
+            .collect()
     }
 
     #[test]
@@ -1162,28 +893,5 @@ mod parallel_tests {
         let (a, b) = (a.finish(), b.finish());
         assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn chunking_respects_document_boundaries() {
-        let (_, cands) = corpus_and_cands();
-        for threads in [2, 4, 8] {
-            let chunks = chunk_doc_ranges(&cands.candidates, threads);
-            assert_eq!(chunks.first().unwrap().0, 0);
-            assert_eq!(chunks.last().unwrap().1, cands.len());
-            for w in chunks.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "chunks must tile the input");
-            }
-            for &(lo, hi) in &chunks {
-                assert!(lo < hi);
-                if hi < cands.len() {
-                    assert_ne!(
-                        cands.candidates[hi - 1].doc,
-                        cands.candidates[hi].doc,
-                        "chunk must end at a document boundary"
-                    );
-                }
-            }
-        }
     }
 }

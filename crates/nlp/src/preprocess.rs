@@ -22,11 +22,10 @@ use fonduer_datamodel::{
 };
 use std::sync::Arc;
 
-/// Cached telemetry counter handles, revalidated against the observe reset
-/// epoch so a `fonduer_observe::reset()` between documents doesn't leave
-/// increments landing in detached atomics.
+/// Cached telemetry counter handles — two plain `fetch_add`s per sentence
+/// instead of two name-keyed registry lookups. Handles stay attached
+/// across `fonduer_observe::reset()`, which zeroes counters in place.
 struct NlpCounters {
-    epoch: u64,
     sentences: fonduer_observe::Counter,
     tokens: fonduer_observe::Counter,
 }
@@ -49,20 +48,6 @@ impl NlpScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Counter handles for the current reset epoch — two plain `fetch_add`s per
-/// sentence instead of two name-keyed registry lookups.
-fn resolve_counters(slot: &mut Option<NlpCounters>) -> &NlpCounters {
-    let epoch = fonduer_observe::reset_epoch();
-    if !matches!(slot, Some(c) if c.epoch == epoch) {
-        *slot = Some(NlpCounters {
-            epoch,
-            sentences: fonduer_observe::Counter::named("nlp.sentences"),
-            tokens: fonduer_observe::Counter::named("nlp.tokens"),
-        });
-    }
-    slot.as_ref().expect("just populated")
 }
 
 /// Fused pass: split `text` into sentences and emit each one directly into
@@ -100,7 +85,10 @@ pub fn preprocess_sentence_into(
     } = scratch;
     let sid = b.sentence_begin(paragraph, sent_text, structural.clone());
     tokenize_into(sent_text, tokens);
-    let counters = resolve_counters(counters);
+    let counters = counters.get_or_insert_with(|| NlpCounters {
+        sentences: fonduer_observe::Counter::named("nlp.sentences"),
+        tokens: fonduer_observe::Counter::named("nlp.tokens"),
+    });
     counters.sentences.add(1);
     counters.tokens.add(tokens.len() as u64);
     for (i, t) in tokens.iter().enumerate() {

@@ -54,8 +54,7 @@ pub use export::{
 pub use hist::{Histogram, HistogramSummary};
 pub use provenance::{MentionProvenance, ProvenanceMeta, ProvenanceRecord};
 pub use registry::{
-    counter, gauge_get, gauge_set, hist_record, reset, reset_epoch, snapshot, Counter, Snapshot,
-    SpanSummary,
+    counter, gauge_get, gauge_set, hist_record, reset, snapshot, Counter, Snapshot, SpanSummary,
 };
 pub use report::{
     emit_report, render, render_human, render_jsonl, trace_mode, trace_out_path, write_report,
@@ -151,11 +150,23 @@ mod tests {
         assert_eq!(gauge_get("gauge_t.never_set"), None);
     }
 
+    #[test]
+    fn cached_counter_handle_survives_reset() {
+        let _l = test_lock();
+        let c = Counter::named("reset_t.counter");
+        c.add(5);
+        reset();
+        assert_eq!(c.get(), 0, "reset zeroes the registered cell");
+        c.add(2);
+        assert_eq!(snapshot().counter("reset_t.counter"), 2);
+    }
+
     /// Acceptance guard: one counter increment must stay under 1µs
     /// amortized. Only meaningful with optimizations on, so the assertion
     /// is release-gated; debug builds still run the loop for coverage.
     #[test]
     fn counter_increment_under_1us() {
+        let _l = test_lock();
         let c = Counter::named("perf_t.counter");
         const N: u64 = 1_000_000;
         let start = std::time::Instant::now();

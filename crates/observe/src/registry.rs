@@ -251,24 +251,21 @@ fn collect_snapshot() -> Snapshot {
     }
 }
 
-/// Monotonic epoch bumped (twice) by every [`reset`]. Callers that cache
-/// [`Counter`] handles across calls can compare epochs to notice that the
-/// registry was cleared underneath them and re-resolve their handles, so
-/// cached increments don't silently land in detached atomics.
-pub fn reset_epoch() -> u64 {
-    RESET_SEQ.load(Ordering::Acquire)
-}
-
 /// Clear every registered metric, every thread's open-span stack (via an
 /// epoch bump — pooled threads discard stale frames on their next span),
 /// the span-event log, the per-document timing table, and the provenance
-/// log. Intended for tests and for separating repeated benchmark runs;
-/// concurrent writers that cached a [`Counter`] handle keep writing into
-/// the detached atomic, which is harmless.
+/// log. Intended for tests and for separating repeated benchmark runs.
+///
+/// Counters are zeroed in place rather than dropped from the registry, so
+/// a cached [`Counter`] handle stays attached: increments made after the
+/// reset land in the registered counter and show up in the next
+/// [`snapshot`].
 pub fn reset() {
     RESET_SEQ.fetch_add(1, Ordering::AcqRel); // odd: reset in progress
     let reg = registry();
-    reg.counters.write().clear();
+    for c in reg.counters.read().values() {
+        c.store(0, Ordering::Relaxed);
+    }
     reg.gauges.write().clear();
     reg.histograms.write().clear();
     reg.spans.write().clear();

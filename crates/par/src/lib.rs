@@ -3,8 +3,10 @@
 //! The workspace-wide data-parallel execution layer. Every hot pipeline
 //! stage — corpus ingest, candidate extraction, featurization, LF
 //! application, and Hogwild!-style training — shards its work by document
-//! (or by row block) and runs it on this crate's work-stealing pool
-//! instead of hand-rolling its own thread management.
+//! (training: by row block) and runs it on this crate's work-stealing pool
+//! instead of hand-rolling its own thread management. The three corpus
+//! stages all go through [`Pool::map_docs`]: one per-document kernel,
+//! results in input order, per-document timings recorded in input order.
 //!
 //! ## Design
 //!
@@ -163,6 +165,44 @@ impl Pool {
         F: Fn(&I) -> T + Sync,
     {
         self.run(items.len(), &|i| f(&items[i]))
+    }
+
+    /// [`Pool::par_map`] for per-document work: the one map every corpus
+    /// stage (candidate extraction, featurization, LF application) runs
+    /// its per-document kernel through. When per-document timings are on
+    /// ([`observe::doc_timings_enabled`]), each call of `f` is timed on its
+    /// worker and recorded as `observe::doc_stage_ns(doc_name(item), stage,
+    /// ns)` on the calling thread **in input order**, so the timing table
+    /// (and its cap eviction) is the same at every thread count.
+    pub fn map_docs<'n, I, T, F, N>(
+        &self,
+        stage: &'static str,
+        items: &[I],
+        doc_name: N,
+        f: F,
+    ) -> Vec<T>
+    where
+        I: Sync,
+        T: Send,
+        F: Fn(&I) -> T + Sync,
+        N: Fn(&I) -> &'n str,
+    {
+        if !observe::doc_timings_enabled() {
+            return self.par_map(items, f);
+        }
+        let timed = self.par_map(items, |item| {
+            let t0 = Instant::now();
+            let out = f(item);
+            (out, t0.elapsed().as_nanos() as u64)
+        });
+        items
+            .iter()
+            .zip(timed)
+            .map(|(item, (out, ns))| {
+                observe::doc_stage_ns(doc_name(item), stage, ns);
+                out
+            })
+            .collect()
     }
 
     /// Split `items` into contiguous chunks (at most `4 × n_threads`, so
@@ -384,6 +424,22 @@ mod tests {
         assert_eq!(pool.par_map(&[42u32], |&x| x + 1), vec![43]);
         // More workers than tasks.
         assert_eq!(pool.par_map(&[1u32, 2], |&x| x * 2), vec![2, 4]);
+    }
+
+    #[test]
+    fn map_docs_keeps_input_order_and_times_every_doc() {
+        let names: Vec<String> = (0..9).map(|i| format!("map_docs_t.d{i}")).collect();
+        let ids: Vec<usize> = (0..names.len()).collect();
+        let out =
+            Pool { n_threads: 3 }.map_docs("map_docs_t", &ids, |&i| names[i].as_str(), |&i| i * 10);
+        assert_eq!(out, ids.iter().map(|&i| i * 10).collect::<Vec<_>>());
+        if observe::doc_timings_enabled() {
+            let table = observe::doc_timings();
+            for n in &names {
+                let d = table.iter().find(|d| &d.doc == n).expect("doc timed");
+                assert!(d.stage_ns.contains_key("map_docs_t"));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use crate::lf::LabelingFunction;
 use fonduer_candidates::{Candidate, CandidateSet};
-use fonduer_datamodel::{Corpus, DocId, Document};
+use fonduer_datamodel::{Corpus, Document};
+use fonduer_par::Pool;
 
 /// Dense label matrix: `n` candidates × `l` labeling functions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,147 +25,40 @@ impl LabelMatrix {
         }
     }
 
-    /// Apply a LF library to every candidate.
+    /// Apply a LF library to every candidate on the calling thread.
     pub fn apply(lfs: &[&LabelingFunction], corpus: &Corpus, cands: &CandidateSet) -> Self {
-        let _span = fonduer_observe::span("lf_apply");
-        let time_docs = fonduer_observe::doc_timings_enabled();
-        let mut current_doc: Option<DocId> = None;
-        let mut doc_t0 = std::time::Instant::now();
-        let mut m = Self::zeros(cands.len(), lfs.len());
-        let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
-        for (i, cand) in cands.candidates.iter().enumerate() {
-            if time_docs && current_doc != Some(cand.doc) {
-                if let Some(prev) = current_doc {
-                    fonduer_observe::doc_stage_ns(
-                        &corpus.doc(prev).name,
-                        "lf_apply",
-                        doc_t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                doc_t0 = std::time::Instant::now();
-                current_doc = Some(cand.doc);
-            }
-            let doc = corpus.doc(cand.doc);
-            for (j, lf) in lfs.iter().enumerate() {
-                let v = lf.label(doc, cand);
-                match v {
-                    1 => pos += 1,
-                    -1 => neg += 1,
-                    _ => abstain += 1,
-                }
-                m.set(i, j, v);
-            }
-        }
-        if time_docs {
-            if let Some(prev) = current_doc {
-                fonduer_observe::doc_stage_ns(
-                    &corpus.doc(prev).name,
-                    "lf_apply",
-                    doc_t0.elapsed().as_nanos() as u64,
-                );
-            }
-        }
-        fonduer_observe::counter("supervision.votes.positive", pos);
-        fonduer_observe::counter("supervision.votes.negative", neg);
-        fonduer_observe::counter("supervision.votes.abstain", abstain);
-        fonduer_observe::counter(
-            "supervision.rows_covered",
-            (0..m.n_rows)
-                .filter(|&i| m.row(i).iter().any(|&v| v != 0))
-                .count() as u64,
-        );
-        m
+        Self::apply_parallel(lfs, corpus, cands, Pool::exact(1))
     }
 
-    /// Apply a LF library to every candidate across `n_threads` workers on
-    /// the shared [`fonduer_par::Pool`]. Rows are sharded in contiguous
-    /// blocks, voted in parallel, and written back in input order, so the
-    /// matrix (and the telemetry counters) are byte-identical to
-    /// [`LabelMatrix::apply`] at every thread count. `n_threads = 0` means
-    /// auto-detect, and the `FONDUER_THREADS` environment variable
-    /// overrides either.
+    /// Apply a LF library to every candidate on `pool`:
+    /// [`LabelBlock::compute`] per document run of the candidate set,
+    /// folded in input order by [`LabelMatrix::from_blocks`], so the matrix
+    /// and the telemetry counters are byte-identical at every worker count.
     pub fn apply_parallel(
         lfs: &[&LabelingFunction],
         corpus: &Corpus,
         cands: &CandidateSet,
-        n_threads: usize,
+        pool: Pool,
     ) -> Self {
-        let pool = fonduer_par::Pool::new(n_threads);
-        if pool.n_threads() == 1 || cands.len() < 2 {
-            return Self::apply(lfs, corpus, cands);
-        }
-        let _span = fonduer_observe::span("lf_apply");
-        let time_docs = fonduer_observe::doc_timings_enabled();
-        let n_cols = lfs.len();
-        // (row block, vote tally, per-doc ns) per chunk; folded back in
-        // input order, so DocTimings insertion order is thread-count
-        // invariant (a document split across two chunks accumulates).
-        let chunks = pool.par_chunks(&cands.candidates, |_, block| {
-            let mut rows: Vec<i8> = Vec::with_capacity(block.len() * n_cols);
-            let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
-            let mut doc_ns: Vec<(DocId, u64)> = Vec::new();
-            let mut current_doc: Option<DocId> = None;
-            let mut doc_t0 = std::time::Instant::now();
-            for cand in block {
-                if time_docs && current_doc != Some(cand.doc) {
-                    if let Some(prev) = current_doc {
-                        doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                    }
-                    doc_t0 = std::time::Instant::now();
-                    current_doc = Some(cand.doc);
-                }
-                let doc = corpus.doc(cand.doc);
-                for lf in lfs {
-                    let v = lf.label(doc, cand);
-                    match v {
-                        1 => pos += 1,
-                        -1 => neg += 1,
-                        _ => abstain += 1,
-                    }
-                    rows.push(v);
-                }
-            }
-            if time_docs {
-                if let Some(prev) = current_doc {
-                    doc_ns.push((prev, doc_t0.elapsed().as_nanos() as u64));
-                }
-            }
-            (rows, pos, neg, abstain, doc_ns)
-        });
-        let mut m = Self {
-            n_rows: cands.len(),
-            n_cols,
-            data: Vec::with_capacity(cands.len() * n_cols),
+        let blocks = {
+            let _span = fonduer_observe::span("lf_apply");
+            pool.map_docs(
+                "lf_apply",
+                &cands.doc_runs(),
+                |(doc, _)| corpus.doc(*doc).name.as_str(),
+                |(doc, rows)| {
+                    LabelBlock::compute(lfs, corpus.doc(*doc), &cands.candidates[rows.clone()])
+                },
+            )
         };
-        let (mut pos, mut neg, mut abstain) = (0u64, 0u64, 0u64);
-        for (rows, p, n, a, doc_ns) in chunks {
-            for (doc, ns) in doc_ns {
-                fonduer_observe::doc_stage_ns(&corpus.doc(doc).name, "lf_apply", ns);
-            }
-            m.data.extend_from_slice(&rows);
-            pos += p;
-            neg += n;
-            abstain += a;
-        }
-        fonduer_observe::counter("supervision.votes.positive", pos);
-        fonduer_observe::counter("supervision.votes.negative", neg);
-        fonduer_observe::counter("supervision.votes.abstain", abstain);
-        fonduer_observe::counter(
-            "supervision.rows_covered",
-            (0..m.n_rows)
-                .filter(|&i| m.row(i).iter().any(|&v| v != 0))
-                .count() as u64,
-        );
-        m
+        Self::from_blocks(lfs.len(), &blocks)
     }
 
-    /// Assemble a matrix from per-document vote blocks, in corpus order.
-    /// The row layout and the telemetry counters
+    /// Assemble a matrix from per-document vote blocks, in corpus order,
+    /// and publish the telemetry counters
     /// (`supervision.votes.{positive,negative,abstain}`,
-    /// `supervision.rows_covered`) are byte-identical to
-    /// [`LabelMatrix::apply`] over the concatenated candidates — this is
-    /// the shard-cached session's reduction step, mirroring
-    /// `apply_parallel`'s input-order fold.
+    /// `supervision.rows_covered`). The reduction step of
+    /// [`LabelMatrix::apply_parallel`] and of shard-cached sessions.
     pub fn from_blocks<'b>(
         n_cols: usize,
         blocks: impl IntoIterator<Item = &'b LabelBlock>,
@@ -178,11 +72,11 @@ impl LabelMatrix {
         for b in blocks {
             debug_assert_eq!(b.n_cols, n_cols);
             m.data.extend_from_slice(&b.rows);
+            m.n_rows += b.n_rows;
             pos += b.positive;
             neg += b.negative;
             abstain += b.abstain;
         }
-        m.n_rows = m.data.len().checked_div(n_cols).unwrap_or(0);
         fonduer_observe::counter("supervision.votes.positive", pos);
         fonduer_observe::counter("supervision.votes.negative", neg);
         fonduer_observe::counter("supervision.votes.abstain", abstain);
@@ -301,6 +195,7 @@ impl LabelMatrix {
 pub struct LabelBlock {
     /// Row-major votes: one row of `n_cols` labels per candidate.
     rows: Vec<i8>,
+    n_rows: usize,
     n_cols: usize,
     positive: u64,
     negative: u64,
@@ -327,6 +222,7 @@ impl LabelBlock {
         }
         Self {
             rows,
+            n_rows: cands.len(),
             n_cols: lfs.len(),
             positive,
             negative,
@@ -336,7 +232,7 @@ impl LabelBlock {
 
     /// Number of candidate rows in this block.
     pub fn n_rows(&self) -> usize {
-        self.rows.len().checked_div(self.n_cols).unwrap_or(0)
+        self.n_rows
     }
 }
 
@@ -437,5 +333,14 @@ mod tests {
         assert_eq!(b1.n_rows(), 1);
         let merged = LabelMatrix::from_blocks(lf_refs.len(), [&b0, &b1]);
         assert_eq!(merged, whole);
+        assert_eq!(whole.n_rows(), 3);
+        assert_eq!(whole.row(1), &[1, 0]);
+        assert_eq!(whole.row(2), &[-1, 0]);
+        for threads in [2, 3] {
+            let par = LabelMatrix::apply_parallel(&lf_refs, &corpus, &cands, Pool::exact(threads));
+            assert_eq!(par, whole, "threads={threads}");
+        }
+        // An empty LF library still yields one (empty) row per candidate.
+        assert_eq!(LabelMatrix::apply(&[], &corpus, &cands).n_rows(), 3);
     }
 }

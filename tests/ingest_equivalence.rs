@@ -14,6 +14,9 @@
 //! CI runs the suite at `FONDUER_THREADS=1` and `4`, so the goldens also
 //! pin the any-thread-count determinism contract.
 //!
+//! The per-domain `features_hashed` and `labels` lines pin the hashed-mode
+//! feature matrix and the LF label matrix the same way.
+//!
 //! Regenerate (only when intentionally changing pipeline *semantics*):
 //! `GOLDEN_WRITE=1 cargo test --test ingest_equivalence`.
 
@@ -112,6 +115,39 @@ fn features_hash(fast: &fonduer_features::FeatureSet, n_rows: usize) -> u64 {
     h
 }
 
+/// Hash of a hashed-mode feature matrix: per row, the bucket ids and the
+/// per-modality tallies recorded at featurization time.
+fn hashed_features_hash(fs: &fonduer_features::FeatureSet, n_rows: usize) -> u64 {
+    let mut h = FNV_SEED;
+    fnv_u64(&mut h, fs.n_features() as u64);
+    for row in 0..n_rows {
+        let ids = fs.matrix.row_ids(row);
+        fnv_u64(&mut h, ids.len() as u64);
+        for &id in ids {
+            fnv_u64(&mut h, u64::from(id));
+        }
+        for c in fs.modality_counts(row) {
+            fnv_u64(&mut h, u64::from(c));
+        }
+    }
+    h
+}
+
+/// Hash of a label matrix: LF names, then every vote in row-major order.
+fn labels_hash(lfs: &[&LabelingFunction], lm: &LabelMatrix) -> u64 {
+    let mut h = FNV_SEED;
+    for lf in lfs {
+        fnv_str(&mut h, &lf.name);
+    }
+    for i in 0..lm.n_rows() {
+        fnv(
+            &mut h,
+            &lm.row(i).iter().map(|&v| v as u8).collect::<Vec<_>>(),
+        );
+    }
+    h
+}
+
 fn domain_lines(domain: Domain, n_docs: usize, seed: u64, out: &mut Vec<String>) {
     let ds = domain.generate(n_docs, seed);
     let label = domain.label();
@@ -139,6 +175,20 @@ fn domain_lines(domain: Domain, n_docs: usize, seed: u64, out: &mut Vec<String>)
     out.push(format!(
         "{label} features {:#018x}",
         features_hash(&fast, cands.len())
+    ));
+    let hashed =
+        Featurizer::new(FeatureConfig::all().with_hashing(12)).featurize(&ds.corpus, &cands);
+    out.push(format!(
+        "{label} features_hashed {:#018x}",
+        hashed_features_hash(&hashed, cands.len())
+    ));
+    let lfs: Vec<&LabelingFunction> = task.lfs.iter().collect();
+    let lm = LabelMatrix::apply(&lfs, &ds.corpus, &cands);
+    out.push(format!(
+        "{label} labels {}x{} {:#018x}",
+        lm.n_rows(),
+        lm.n_cols(),
+        labels_hash(&lfs, &lm)
     ));
 }
 

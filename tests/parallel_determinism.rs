@@ -11,6 +11,7 @@ use fonduer::prelude::*;
 use fonduer_core::domains;
 use fonduer_features::SparseAccess;
 use fonduer_learning::{CandidateInput, HogwildLogReg};
+use fonduer_par::Pool;
 use fonduer_synth::{generate_electronics, ElectronicsConfig};
 
 fn dataset() -> SynthDataset {
@@ -24,10 +25,10 @@ fn dataset() -> SynthDataset {
 fn candidate_set_is_byte_identical_across_thread_counts() {
     let ds = dataset();
     let task = &domains::electronics::tasks(&ds)[0];
-    let seq = task.extractor.extract_parallel(&ds.corpus, 1);
+    let seq = task.extractor.extract(&ds.corpus);
     assert!(!seq.candidates.is_empty());
     for n in [2, 8] {
-        let par = task.extractor.extract_parallel(&ds.corpus, n);
+        let par = task.extractor.extract_parallel(&ds.corpus, Pool::exact(n));
         assert_eq!(seq.candidates, par.candidates, "n_threads={n}");
     }
 }
@@ -38,13 +39,14 @@ fn feature_set_and_vocab_order_are_byte_identical_across_thread_counts() {
     let task = &domains::electronics::tasks(&ds)[0];
     let cands = task.extractor.extract(&ds.corpus);
     let fz = Featurizer::new(FeatureConfig::all());
-    let seq = fz.featurize_parallel(&ds.corpus, &cands, 1);
+    // The reference is the sequential featurizer interning straight into
+    // one global vocabulary; the pool path folds per-document shards.
+    let seq = fz.featurize(&ds.corpus, &cands);
     assert!(!seq.vocab.is_empty());
-    for n in [2, 8] {
-        // `featurize_sharded` forces real worker threads through the
-        // chunk-and-merge path even on a single-core host (where the public
-        // `featurize_parallel` would resolve to the sequential fallback).
-        let par = fz.featurize_sharded(&ds.corpus, &cands, n);
+    for n in [1, 2, 8] {
+        // `Pool::exact` spawns real worker threads even on a single-core
+        // host, where `Pool::new(n)` would be capped to one worker.
+        let par = fz.featurize_parallel(&ds.corpus, &cands, Pool::exact(n));
         // Vocabulary ordering: column i names the same feature, in the
         // sequential first-occurrence order.
         assert_eq!(seq.vocab.len(), par.vocab.len(), "n_threads={n}");
@@ -56,9 +58,6 @@ fn feature_set_and_vocab_order_are_byte_identical_across_thread_counts() {
         // Cache statistics merge in input order too.
         assert_eq!(seq.stats.hits, par.stats.hits);
         assert_eq!(seq.stats.misses, par.stats.misses);
-        // And the public API agrees, whatever the host resolves n to.
-        let pub_par = fz.featurize_parallel(&ds.corpus, &cands, n);
-        assert_eq!(seq.matrix, pub_par.matrix, "n_threads={n} (public)");
     }
 }
 
@@ -68,11 +67,11 @@ fn hashed_feature_matrix_is_byte_identical_across_thread_counts() {
     let task = &domains::electronics::tasks(&ds)[0];
     let cands = task.extractor.extract(&ds.corpus);
     let fz = Featurizer::new(FeatureConfig::all().with_hashing(16));
-    let seq = fz.featurize_parallel(&ds.corpus, &cands, 1);
+    let seq = fz.featurize(&ds.corpus, &cands);
     assert!(seq.vocab.is_empty(), "hashing mode keeps no vocabulary");
     assert_eq!(seq.n_features(), 1 << 16);
-    for n in [2, 8] {
-        let par = fz.featurize_sharded(&ds.corpus, &cands, n);
+    for n in [1, 2, 8] {
+        let par = fz.featurize_parallel(&ds.corpus, &cands, Pool::exact(n));
         assert_eq!(seq.matrix, par.matrix, "n_threads={n}");
         assert_eq!(seq.stats, par.stats, "n_threads={n}");
         for r in 0..seq.matrix.n_rows() {
@@ -93,7 +92,7 @@ fn label_matrix_is_byte_identical_across_thread_counts() {
     let refs: Vec<&LabelingFunction> = task.lfs.iter().collect();
     let seq = LabelMatrix::apply(&refs, &ds.corpus, &cands);
     for n in [2, 8] {
-        let par = LabelMatrix::apply_parallel(&refs, &ds.corpus, &cands, n);
+        let par = LabelMatrix::apply_parallel(&refs, &ds.corpus, &cands, Pool::exact(n));
         assert_eq!(seq, par, "n_threads={n}");
     }
 }
