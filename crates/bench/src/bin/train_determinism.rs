@@ -1,6 +1,6 @@
-//! Determinism probe for CI: train the deterministic (non-Hogwild)
-//! learner end to end and print the final epoch losses and marginals with
-//! bit-exact formatting. CI runs this twice — `FONDUER_THREADS=1` and
+//! Determinism probe for CI: train the multimodal LSTM learner end to end
+//! and print the final epoch losses and marginals with bit-exact
+//! formatting. CI runs this twice — `FONDUER_THREADS=1` and
 //! `FONDUER_THREADS=4` — and diffs the outputs: the per-sample Adam
 //! learner and the length-bucketed batched inference path must be
 //! completely unaffected by the thread configuration.

@@ -6,12 +6,11 @@
 //! and labeling functions can traverse document context.
 
 use fonduer_datamodel::{Corpus, DocId, Document, Span};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Schema of a relation to extract: name plus ordered mention-type names
 /// (paper Example 3.2's `CREATE TABLE HasCollectorCurrent(...)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSchema {
     /// Relation name (the output table name).
     pub name: String,
@@ -35,7 +34,7 @@ impl RelationSchema {
 }
 
 /// A relation mention candidate: one document plus one span per argument.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Candidate {
     /// The document the mentions live in.
     pub doc: DocId,

@@ -8,10 +8,9 @@
 //! candidates from individual tables).
 
 use fonduer_datamodel::{Document, Span};
-use serde::{Deserialize, Serialize};
 
 /// A context-scope restriction on candidate mention pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContextScope {
     /// Both mentions in the same sentence (also the strict Text-oracle
     /// scope).

@@ -33,12 +33,6 @@ pub enum Learner {
     /// Sparse logistic regression over the explicit feature matrix (the
     /// human-tuned / SRV baselines).
     LogReg,
-    /// The same sparse logistic regression trained by lock-free Hogwild!
-    /// parallel SGD across [`PipelineConfig::n_threads`] workers. The only
-    /// learner whose result legitimately depends on the thread count
-    /// (racy weight updates), so it is also the only stage whose cache key
-    /// folds `n_threads` in.
-    HogwildLogReg,
 }
 
 /// Pipeline configuration.
@@ -63,11 +57,12 @@ pub struct PipelineConfig {
     pub train_frac: f64,
     /// Split-hash seed.
     pub seed: u64,
-    /// Worker threads for candidate generation, featurization, LF
-    /// application, and Hogwild training (documents are independent units
-    /// of work). 1 = sequential; the builder resolves 0 to the machine's
-    /// available parallelism, and the `FONDUER_THREADS` environment
-    /// variable overrides any value at pool-construction time.
+    /// Worker threads for candidate generation, featurization and LF
+    /// application (documents are independent units of work). 1 =
+    /// sequential; the builder resolves 0 to the machine's available
+    /// parallelism, and the `FONDUER_THREADS` environment variable
+    /// overrides any value at pool-construction time. Every artifact, and
+    /// every learner's weights, are identical at every thread count.
     pub n_threads: usize,
 }
 
@@ -250,9 +245,10 @@ pub struct Timings {
     pub candgen: Duration,
     /// Multimodal featurization.
     pub featurize: Duration,
-    /// LF application + generative model.
+    /// Document split, LF application, generative model and LF
+    /// diagnostics.
     pub supervise: Duration,
-    /// Discriminative training.
+    /// Model-input preparation plus discriminative training.
     pub train: Duration,
     /// Inference over all candidates.
     pub infer: Duration,

@@ -59,7 +59,7 @@ use fonduer_features::{
     DocFeatureShard, FeatureConfig, FeatureSet, FeatureShardMerger, Featurizer,
 };
 use fonduer_learning::{
-    prepare, FonduerModel, HogwildLogReg, LogRegModel, ModelConfig, PreparedDataset, ProbClassifier,
+    prepare, FonduerModel, LogRegModel, ModelConfig, PreparedDataset, ProbClassifier,
 };
 use fonduer_nlp::{fnv1a, HashedVocab};
 use fonduer_observe as observe;
@@ -172,6 +172,23 @@ impl SessionStats {
     }
 }
 
+/// Fingerprints of the session's inputs, taken when each input is
+/// installed. Every stage key folds some of them in; recomputing them per
+/// key — rehashing the corpus or a dictionary matcher, Debug-formatting a
+/// config — would cost more than a warm stage call.
+struct InputFps {
+    /// Content hash of the whole corpus, over the per-document hashes:
+    /// folded into every stage key so upserts/removals dirty the
+    /// monolithic artifacts (shards then make the recompute cheap).
+    corpus: u64,
+    extractor: u64,
+    /// The LF names, in order.
+    lfs: u64,
+    gen_opts: u64,
+    /// Learner selection plus model config.
+    learner: u64,
+}
+
 /// One cached artifact plus the content-hash key it was computed under.
 struct Cached<T> {
     key: u64,
@@ -259,14 +276,35 @@ struct EvalArtifact {
     metrics: PrF1,
 }
 
-/// Bracket a recomputed stage with `stage_start` / `stage_finish` events
-/// on the live progress ring (the obsd `/events` SSE feed). No-op unless a
-/// subscriber switched the feed on.
-fn progress_stage<T>(name: &'static str, f: impl FnOnce() -> (T, Duration)) -> (T, Duration) {
+/// Run one stage's miss path — cache-key miss through storing the
+/// artifact — inside its single `observe::timed` span, so the span and the
+/// stage's [`Timings`] entry are one measurement. Bracketed by
+/// `stage_start` / `stage_finish` events on the live progress ring (the
+/// obsd `/events` SSE feed; a no-op unless a subscriber switched it on).
+fn timed_stage<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
     observe::progress("stage_start", name, "", 0);
-    let (value, took) = f();
+    let (value, took) = observe::timed(name, f);
     observe::progress("stage_finish", name, "", took.as_micros() as u64);
     (value, took)
+}
+
+/// Fingerprint of a config value through its `Debug` rendering, which
+/// covers every field without listing them.
+fn debug_fp(value: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{value:?}").as_bytes())
+}
+
+fn learner_fp(cfg: &PipelineConfig) -> u64 {
+    hash_parts("learner", &[debug_fp(&cfg.learner), debug_fp(&cfg.model)])
+}
+
+fn lf_names_fp(lfs: &[LabelingFunction]) -> u64 {
+    let mut lf_names = Vec::new();
+    for lf in lfs {
+        lf_names.push(0x1f);
+        lf_names.extend_from_slice(lf.name.as_bytes());
+    }
+    fnv1a(&lf_names)
 }
 
 fn hash_parts(tag: &str, parts: &[u64]) -> u64 {
@@ -367,6 +405,7 @@ pub struct PipelineSession<'a> {
     extractor: &'a CandidateExtractor,
     lfs: &'a [LabelingFunction],
     cfg: PipelineConfig,
+    fps: InputFps,
     /// Lenient sessions (the `run_task` compatibility path) skip the
     /// strict empty-candidate / empty-training-set checks and reproduce
     /// the historical permissive behavior bit for bit.
@@ -443,9 +482,16 @@ impl<'a> PipelineSession<'a> {
         // global debug server, making every session (and run_task caller)
         // scrapeable with zero code changes. No-op when unset.
         fonduer_obsd::activate_from_env();
-        let doc_hashes = corpus.iter().map(|(_, d)| d.content_hash()).collect();
+        let doc_hashes: Vec<u64> = corpus.iter().map(|(_, d)| d.content_hash()).collect();
         let mut shards = ShardStore::new();
         shards.resize_for(corpus.len());
+        let fps = InputFps {
+            corpus: hash_parts("corpus", &doc_hashes),
+            extractor: extractor.fingerprint(),
+            lfs: lf_names_fp(lfs),
+            gen_opts: debug_fp(&cfg.gen_opts),
+            learner: learner_fp(&cfg),
+        };
         Self {
             corpus: Cow::Borrowed(corpus),
             doc_hashes,
@@ -453,6 +499,7 @@ impl<'a> PipelineSession<'a> {
             extractor,
             lfs,
             cfg,
+            fps,
             strict,
             candidates: None,
             split: None,
@@ -476,20 +523,30 @@ impl<'a> PipelineSession<'a> {
     /// evaluate; candidate and feature artifacts stay valid.
     pub fn set_lfs(&mut self, lfs: &'a [LabelingFunction]) {
         self.lfs = lfs;
+        self.fps.lfs = lf_names_fp(lfs);
     }
 
     /// Replace the candidate extractor. Dirties every stage (unless the new
     /// extractor's fingerprint matches the old one).
     pub fn set_extractor(&mut self, extractor: &'a CandidateExtractor) {
         self.extractor = extractor;
+        self.fps.extractor = extractor.fingerprint();
     }
 
     /// Replace the whole configuration (validated). Stages whose key inputs
     /// are unchanged keep their cached artifacts.
     pub fn set_config(&mut self, cfg: PipelineConfig) -> Result<(), Error> {
         cfg.validate()?;
-        self.cfg = cfg;
+        self.install_config(cfg);
         Ok(())
+    }
+
+    /// The one place `cfg` changes after construction, so its fingerprints
+    /// stay in step with it.
+    fn install_config(&mut self, cfg: PipelineConfig) {
+        self.fps.gen_opts = debug_fp(&cfg.gen_opts);
+        self.fps.learner = learner_fp(&cfg);
+        self.cfg = cfg;
     }
 
     /// Change the classification threshold. Dirties only evaluate.
@@ -502,24 +559,36 @@ impl<'a> PipelineSession<'a> {
     /// Change the feature-modality switchboard. Dirties featurize → train →
     /// infer → evaluate; candidates and supervision stay valid.
     pub fn set_feature_config(&mut self, features: FeatureConfig) {
-        self.cfg.features = features;
+        self.install_config(PipelineConfig {
+            features,
+            ..self.cfg.clone()
+        });
     }
 
     /// Change the neural-model hyperparameters. Dirties train → infer →
     /// evaluate.
     pub fn set_model_config(&mut self, model: ModelConfig) {
-        self.cfg.model = model;
+        self.install_config(PipelineConfig {
+            model,
+            ..self.cfg.clone()
+        });
     }
 
     /// Change the discriminative learner. Dirties train → infer → evaluate.
     pub fn set_learner(&mut self, learner: Learner) {
-        self.cfg.learner = learner;
+        self.install_config(PipelineConfig {
+            learner,
+            ..self.cfg.clone()
+        });
     }
 
     /// Change the generative-model options. Dirties supervise → train →
     /// infer → evaluate.
     pub fn set_gen_opts(&mut self, gen_opts: GenerativeOptions) {
-        self.cfg.gen_opts = gen_opts;
+        self.install_config(PipelineConfig {
+            gen_opts,
+            ..self.cfg.clone()
+        });
     }
 
     /// Change the train/test document split. Dirties supervise → train →
@@ -563,18 +632,20 @@ impl<'a> PipelineSession<'a> {
             });
         }
         let hash = doc.content_hash();
-        match self.corpus.index_of(&doc.name) {
+        let id = match self.corpus.index_of(&doc.name) {
             Some(id) => {
                 self.corpus.to_mut().replace(id, doc);
                 self.doc_hashes[id.index()] = hash;
-                Ok(id)
+                id
             }
             None => {
                 let id = self.corpus.to_mut().add(doc);
                 self.doc_hashes.push(hash);
-                Ok(id)
+                id
             }
-        }
+        };
+        self.fps.corpus = hash_parts("corpus", &self.doc_hashes);
+        Ok(id)
     }
 
     /// Remove the document at `id`, returning it. Later documents shift
@@ -592,6 +663,7 @@ impl<'a> PipelineSession<'a> {
             });
         }
         self.doc_hashes.remove(id.index());
+        self.fps.corpus = hash_parts("corpus", &self.doc_hashes);
         Ok(self.corpus.to_mut().remove(id))
     }
 
@@ -687,12 +759,6 @@ impl<'a> PipelineSession<'a> {
 
     // ------------------------------------------------------------ cache keys
 
-    /// Record one hit/miss for `stage`, once per traversal (a single
-    /// `output()` walk can consult an upstream artifact more than once —
-    /// e.g. candidates feed both featurization and supervision). Returns
-    /// whether this was the first consult of the traversal, so callers can
-    /// also gate per-traversal side effects (like zeroing a stage timing)
-    /// on it.
     /// Reset per-traversal bookkeeping (stage hit/miss notes and the
     /// recomputed-document set) at each public stage entry.
     fn begin_traversal(&mut self) {
@@ -700,6 +766,12 @@ impl<'a> PipelineSession<'a> {
         self.recomputed.clear();
     }
 
+    /// Record one hit/miss for `stage`, once per traversal (a single
+    /// `output()` walk can consult an upstream artifact more than once —
+    /// e.g. candidates feed both featurization and supervision). Returns
+    /// whether this was the first consult of the traversal, so callers can
+    /// also gate per-traversal side effects (like zeroing a stage timing)
+    /// on it.
     fn note(&mut self, stage: StageId, hit: bool) -> bool {
         if self.noted[stage.index()] {
             return false;
@@ -716,78 +788,53 @@ impl<'a> PipelineSession<'a> {
         true
     }
 
-    /// Content hash of the whole corpus, folded into every stage key so
-    /// upserts/removals dirty the monolithic artifacts (shards below then
-    /// make the recompute cheap).
-    fn corpus_key(&self) -> u64 {
-        hash_parts("corpus", &self.doc_hashes)
-    }
-
     fn candidates_key(&self) -> u64 {
-        hash_parts(
-            "candidates",
-            &[self.extractor.fingerprint(), self.corpus_key()],
-        )
+        hash_parts("candidates", &[self.fps.extractor, self.fps.corpus])
     }
 
     fn split_key(&self) -> u64 {
+        let cfg = &self.cfg;
         hash_parts(
             "split",
-            &[
-                self.cfg.train_frac.to_bits(),
-                self.cfg.seed,
-                self.corpus_key(),
-            ],
+            &[cfg.train_frac.to_bits(), cfg.seed, self.fps.corpus],
         )
     }
 
     fn features_key(&self) -> u64 {
+        let cfg = &self.cfg;
         hash_parts(
             "features",
             &[
                 self.candidates_key(),
-                self.cfg.features.fingerprint(),
-                self.cfg.vocab_size as u64,
-                self.cfg.window as u64,
+                cfg.features.fingerprint(),
+                cfg.vocab_size as u64,
+                cfg.window as u64,
             ],
         )
     }
 
     fn supervise_key(&self) -> u64 {
-        let mut lf_names = Vec::new();
-        for lf in self.lfs {
-            lf_names.push(0x1f);
-            lf_names.extend_from_slice(lf.name.as_bytes());
-        }
         hash_parts(
             "supervise",
             &[
                 self.candidates_key(),
                 self.split_key(),
-                fnv1a(&lf_names),
-                fnv1a(format!("{:?}", self.cfg.gen_opts).as_bytes()),
+                self.fps.lfs,
+                self.fps.gen_opts,
             ],
         )
     }
 
     fn train_key(&self) -> u64 {
-        // Hogwild's racy updates make its weights legitimately depend on
-        // the worker count; every other learner is thread-count-invariant,
-        // so folding n_threads in for them would only cause spurious cache
-        // misses (determinism is the contract).
-        let thread_salt = match self.cfg.learner {
-            Learner::HogwildLogReg => self.cfg.n_threads as u64,
-            _ => 0,
-        };
+        // Every learner is thread-count-invariant, so n_threads stays out
+        // of the key (folding it in would only cause spurious misses).
         hash_parts(
             "train",
             &[
                 self.features_key(),
                 self.supervise_key(),
-                fnv1a(format!("{:?}", self.cfg.learner).as_bytes()),
-                fnv1a(format!("{:?}", self.cfg.model).as_bytes()),
+                self.fps.learner,
                 self.cfg.seed,
-                thread_salt,
             ],
         )
     }
@@ -817,52 +864,59 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Candidates, false);
-        let cfg_fp = hash_parts("shard.cand", &[self.extractor.fingerprint()]);
+        let ((), took) = timed_stage("candgen", || {
+            let value = self.extract_candidates();
+            self.candidates = Some(Cached { key, value });
+        });
+        self.timings.candgen = took;
+        Ok(())
+    }
+
+    /// The candidate stage's miss path: per-document shards, then an
+    /// input-order merge.
+    fn extract_candidates(&mut self) -> CandidateArtifact {
+        let cfg_fp = hash_parts("shard.cand", &[self.fps.extractor]);
         let n = self.corpus.len();
         self.shards.resize_for(n);
         let extractor = self.extractor;
-        let cache = &mut self.shards.candidates;
         let mut pass = ShardPass {
             corpus: &self.corpus,
             doc_hashes: &self.doc_hashes,
             pool: Pool::new(self.cfg.n_threads),
             recomputed: &mut self.recomputed,
         };
-        let (value, took) = progress_stage("candgen", || {
-            observe::timed("candgen", || {
-                // The `extract_corpus` span covers only the per-document
-                // work (what the doc-timings table measures); the merge
-                // below is corpus-global reduction, outside it.
-                let positions: Vec<usize> = (0..n).collect();
-                let shards = {
-                    let _span = observe::span("extract_corpus");
-                    pass.resolve(cache, cfg_fp, "candgen", &positions, |i, doc| {
-                        extractor.extract_doc(DocId::from_usize(i), doc)
-                    })
-                };
-                // Input-order merge, re-pointing each candidate at its
-                // current corpus position so shards survive the DocId
-                // shifts a removal causes.
-                let mut candidates = Vec::new();
-                let mut ranges = Vec::with_capacity(n);
-                for (i, shard) in shards.iter().enumerate() {
-                    let lo = candidates.len() as u32;
-                    let id = DocId::from_usize(i);
-                    candidates.extend(shard.iter().map(|c| Candidate::new(id, c.mentions.clone())));
-                    ranges.push((lo, candidates.len() as u32));
-                }
-                CandidateArtifact {
-                    set: CandidateSet {
-                        schema: extractor.schema.clone(),
-                        candidates,
-                    },
-                    ranges,
-                }
-            })
-        });
-        self.timings.candgen = took;
-        self.candidates = Some(Cached { key, value });
-        Ok(())
+        // The `extract_corpus` span covers only the per-document work (what
+        // the doc-timings table measures); the merge below is corpus-global
+        // reduction, outside it.
+        let positions: Vec<usize> = (0..n).collect();
+        let shards = {
+            let _span = observe::span("extract_corpus");
+            pass.resolve(
+                &mut self.shards.candidates,
+                cfg_fp,
+                "candgen",
+                &positions,
+                |i, doc| extractor.extract_doc(DocId::from_usize(i), doc),
+            )
+        };
+        // Input-order merge, re-pointing each candidate at its current
+        // corpus position so shards survive the DocId shifts a removal
+        // causes.
+        let mut candidates = Vec::new();
+        let mut ranges = Vec::with_capacity(n);
+        for (i, shard) in shards.iter().enumerate() {
+            let lo = candidates.len() as u32;
+            let id = DocId::from_usize(i);
+            candidates.extend(shard.iter().map(|c| Candidate::new(id, c.mentions.clone())));
+            ranges.push((lo, candidates.len() as u32));
+        }
+        CandidateArtifact {
+            set: CandidateSet {
+                schema: extractor.schema.clone(),
+                candidates,
+            },
+            ranges,
+        }
     }
 
     /// The train/test document-name split (cheap; cached on
@@ -906,58 +960,61 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Featurize, false);
+        let ((), took) = timed_stage("featurize", || {
+            let value = self.featurize_corpus();
+            self.features = Some(Cached { key, value });
+        });
+        self.timings.featurize = took;
+        Ok(())
+    }
+
+    /// The featurize stage's miss path: per-document shards, then an
+    /// input-order merge.
+    fn featurize_corpus(&mut self) -> FeatureSet {
         let cfg_fp = hash_parts(
             "shard.feat",
-            &[
-                self.extractor.fingerprint(),
-                self.cfg.features.fingerprint(),
-            ],
+            &[self.fps.extractor, self.cfg.features.fingerprint()],
         );
         let n = self.corpus.len();
         self.shards.resize_for(n);
         let art = &self.candidates.as_ref().unwrap().value;
         let featurizer = Featurizer::new(self.cfg.features);
-        let hashing_bits = self.cfg.features.hashing_bits;
-        let cache = &mut self.shards.features;
         let mut pass = ShardPass {
             corpus: &self.corpus,
             doc_hashes: &self.doc_hashes,
             pool: Pool::new(self.cfg.n_threads),
             recomputed: &mut self.recomputed,
         };
-        let (feats, took) = progress_stage("featurize", || {
-            observe::timed("featurize", || {
-                let positions: Vec<usize> = (0..n).collect();
-                let shards = {
-                    let _span = observe::span("featurize_corpus");
-                    pass.resolve(cache, cfg_fp, "featurize", &positions, |i, doc| {
-                        featurizer.featurize_doc(doc, art.doc_candidates(i))
-                    })
-                };
-                // Input-order merge: shard-local feature ids remap through
-                // a shared vocab in first-occurrence order, reproducing the
-                // sequential featurizer's intern order byte for byte.
-                let mut merger = FeatureShardMerger::new(hashing_bits);
-                for shard in &shards {
-                    merger.push(shard);
-                }
-                merger.finish()
-            })
-        });
-        self.timings.featurize = took;
-        self.features = Some(Cached { key, value: feats });
-        Ok(())
+        let positions: Vec<usize> = (0..n).collect();
+        let shards = {
+            let _span = observe::span("featurize_corpus");
+            pass.resolve(
+                &mut self.shards.features,
+                cfg_fp,
+                "featurize",
+                &positions,
+                |i, doc| featurizer.featurize_doc(doc, art.doc_candidates(i)),
+            )
+        };
+        // Input-order merge: shard-local feature ids remap through a shared
+        // vocab in first-occurrence order, reproducing the sequential
+        // featurizer's intern order byte for byte.
+        let mut merger = FeatureShardMerger::new(self.cfg.features.hashing_bits);
+        for shard in &shards {
+            merger.push(shard);
+        }
+        merger.finish()
     }
 
     /// Model-input preparation (token windows + feature rows per
-    /// candidate), keyed with the feature artifact. Only the train/infer
-    /// path needs it, so featurize-stage consumers (and warm upsert walks)
-    /// never pay for it.
-    fn ensure_dataset(&mut self) -> Result<(), Error> {
-        self.ensure_featurize()?;
+    /// candidate), keyed with the feature artifact. Only training consumes
+    /// it, so it runs inside the train stage's miss path (after
+    /// [`ensure_featurize`](Self::ensure_featurize)), and featurize-stage
+    /// consumers (and warm upsert walks) never pay for it.
+    fn ensure_dataset(&mut self) {
         let key = self.features_key();
         if self.dataset.as_ref().is_some_and(|c| c.key == key) {
-            return Ok(());
+            return;
         }
         let vocab = HashedVocab::new(self.cfg.vocab_size);
         let dataset = prepare(
@@ -971,7 +1028,6 @@ impl<'a> PipelineSession<'a> {
             key,
             value: dataset,
         });
-        Ok(())
     }
 
     /// Phase 3b: LF application, generative model, and LF diagnostics over
@@ -985,7 +1041,6 @@ impl<'a> PipelineSession<'a> {
 
     fn ensure_supervise(&mut self) -> Result<(), Error> {
         self.ensure_candidates()?;
-        self.split();
         let key = self.supervise_key();
         if self.supervision.as_ref().is_some_and(|c| c.key == key) {
             if self.note(StageId::Supervise, true) {
@@ -994,66 +1049,64 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Supervise, false);
-        let cfg_fp = {
-            let mut lf_names = Vec::new();
-            for lf in self.lfs {
-                lf_names.push(0x1f);
-                lf_names.extend_from_slice(lf.name.as_bytes());
-            }
-            // Keyed without split params: changing the train/test split
-            // reuses every label shard already computed for a document.
-            hash_parts(
-                "shard.label",
-                &[self.extractor.fingerprint(), fnv1a(&lf_names)],
-            )
-        };
+        let ((), took) = timed_stage("supervise", || {
+            let value = self.label_training_split();
+            self.supervision = Some(Cached { key, value });
+        });
+        self.timings.supervise = took;
+        Ok(())
+    }
+
+    /// The supervise stage's miss path: the document split, per-document
+    /// label shards over the training split, the generative model, and the
+    /// LF diagnostics against gold.
+    fn label_training_split(&mut self) -> SupervisionArtifact {
+        self.split();
+        // Keyed without split params: changing the train/test split reuses
+        // every label shard already computed for a document.
+        let cfg_fp = hash_parts("shard.label", &[self.fps.extractor, self.fps.lfs]);
         let n = self.corpus.len();
         self.shards.resize_for(n);
         let corpus: &Corpus = &self.corpus;
         let art = &self.candidates.as_ref().unwrap().value;
         let (train_docs, _) = &self.split.as_ref().unwrap().value;
         let lfs = self.lfs;
-        let gen_opts = &self.cfg.gen_opts;
-        let cache = &mut self.shards.labels;
         let mut pass = ShardPass {
             corpus,
             doc_hashes: &self.doc_hashes,
             pool: Pool::new(self.cfg.n_threads),
             recomputed: &mut self.recomputed,
         };
-        let ((label_matrix, train_idx, train_marginals, label_coverage), took) =
-            progress_stage("supervise", || {
-                observe::timed("supervise", || {
-                    let lf_refs: Vec<&LabelingFunction> = lfs.iter().collect();
-                    // Corpus positions of training-split documents, in input
-                    // order; label shards exist only for these.
-                    let train_positions: Vec<usize> = (0..n)
-                        .filter(|&i| train_docs.contains(&corpus.doc(DocId::from_usize(i)).name))
-                        .collect();
-                    let blocks = {
-                        let _span = observe::span("lf_apply");
-                        pass.resolve(cache, cfg_fp, "lf_apply", &train_positions, |i, doc| {
-                            LabelBlock::compute(&lf_refs, doc, art.doc_candidates(i))
-                        })
-                    };
-                    let label_matrix =
-                        LabelMatrix::from_blocks(lfs.len(), blocks.iter().map(|b| b.as_ref()));
-                    // Candidate indices of the training split, grouped by
-                    // document in input order — identical to filtering the
-                    // merged candidate list by train-doc membership.
-                    let train_idx: Vec<usize> = train_positions
-                        .iter()
-                        .flat_map(|&i| (art.ranges[i].0 as usize)..(art.ranges[i].1 as usize))
-                        .collect();
-                    let gen = GenerativeModel::fit(&label_matrix, gen_opts);
-                    let train_marginals = gen.predict(&label_matrix);
-                    let label_coverage = label_matrix.total_coverage();
-                    (label_matrix, train_idx, train_marginals, label_coverage)
-                })
-            });
+        let lf_refs: Vec<&LabelingFunction> = lfs.iter().collect();
+        // Corpus positions of training-split documents, in input order;
+        // label shards exist only for these.
+        let train_positions: Vec<usize> = (0..n)
+            .filter(|&i| train_docs.contains(&corpus.doc(DocId::from_usize(i)).name))
+            .collect();
+        let blocks = {
+            let _span = observe::span("lf_apply");
+            pass.resolve(
+                &mut self.shards.labels,
+                cfg_fp,
+                "lf_apply",
+                &train_positions,
+                |i, doc| LabelBlock::compute(&lf_refs, doc, art.doc_candidates(i)),
+            )
+        };
+        let label_matrix = LabelMatrix::from_blocks(lfs.len(), blocks.iter().map(|b| b.as_ref()));
+        // Candidate indices of the training split, grouped by document in
+        // input order — identical to filtering the merged candidate list by
+        // train-doc membership.
+        let train_idx: Vec<usize> = train_positions
+            .iter()
+            .flat_map(|&i| (art.ranges[i].0 as usize)..(art.ranges[i].1 as usize))
+            .collect();
+        let gen = GenerativeModel::fit(&label_matrix, &self.cfg.gen_opts);
+        let train_marginals = gen.predict(&label_matrix);
+        let label_coverage = label_matrix.total_coverage();
         observe::gauge_set("supervision.label_coverage", label_coverage);
-        let candidates = &self.candidates.as_ref().unwrap().value.set;
         // LF error-analysis table (empirical accuracy when gold is known).
+        let candidates = &art.set;
         let lf_names: Vec<String> = lfs.iter().map(|lf| lf.name.clone()).collect();
         let train_gold: Vec<bool> = train_idx
             .iter()
@@ -1070,18 +1123,13 @@ impl<'a> PipelineSession<'a> {
             (!self.gold.is_empty()).then_some(train_gold.as_slice()),
         );
         lf_diagnostics.publish_gauges();
-        self.timings.supervise = took;
-        self.supervision = Some(Cached {
-            key,
-            value: SupervisionArtifact {
-                label_matrix,
-                train_idx,
-                train_marginals,
-                label_coverage,
-                lf_diagnostics,
-            },
-        });
-        Ok(())
+        SupervisionArtifact {
+            label_matrix,
+            train_idx,
+            train_marginals,
+            label_coverage,
+            lf_diagnostics,
+        }
     }
 
     /// Phase 3c: discriminative training. Cached on the feature and
@@ -1096,7 +1144,7 @@ impl<'a> PipelineSession<'a> {
     }
 
     fn ensure_train(&mut self) -> Result<(), Error> {
-        self.ensure_dataset()?;
+        self.ensure_featurize()?;
         self.ensure_supervise()?;
         let key = self.train_key();
         if self.model.as_ref().is_some_and(|c| c.key == key) {
@@ -1106,6 +1154,20 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Train, false);
+        let (fitted, took) = timed_stage("train", || -> Result<(), Error> {
+            let value = self.fit_model()?;
+            self.model = Some(Cached { key, value });
+            Ok(())
+        });
+        fitted?;
+        self.timings.train = took;
+        Ok(())
+    }
+
+    /// The train stage's miss path: model-input preparation, then fitting
+    /// the configured learner on the LF-labeled training candidates.
+    fn fit_model(&mut self) -> Result<Box<dyn ProbClassifier>, Error> {
+        self.ensure_dataset();
         let candidates = &self.candidates.as_ref().unwrap().value.set;
         let dataset = &self.dataset.as_ref().unwrap().value;
         let sup = &self.supervision.as_ref().unwrap().value;
@@ -1133,29 +1195,17 @@ impl<'a> PipelineSession<'a> {
             }
         }
         let cfg = &self.cfg;
-        let (model, took) = progress_stage("train", || {
-            observe::timed("train", || {
-                let mut model: Box<dyn ProbClassifier> = match cfg.learner {
-                    Learner::MultimodalLstm => Box::new(FonduerModel::new(
-                        cfg.model.clone(),
-                        dataset.vocab_size,
-                        dataset.n_features,
-                        dataset.arity,
-                    )),
-                    Learner::LogReg => Box::new(LogRegModel::new(dataset.n_features, cfg.seed)),
-                    Learner::HogwildLogReg => Box::new(HogwildLogReg::new(
-                        dataset.n_features,
-                        cfg.seed,
-                        cfg.n_threads,
-                    )),
-                };
-                model.fit(&train_inputs, &train_targets);
-                model
-            })
-        });
-        self.timings.train = took;
-        self.model = Some(Cached { key, value: model });
-        Ok(())
+        let mut model: Box<dyn ProbClassifier> = match cfg.learner {
+            Learner::MultimodalLstm => Box::new(FonduerModel::new(
+                cfg.model.clone(),
+                dataset.vocab_size,
+                dataset.n_features,
+                dataset.arity,
+            )),
+            Learner::LogReg => Box::new(LogRegModel::new(dataset.n_features, cfg.seed)),
+        };
+        model.fit(&train_inputs, &train_targets);
+        Ok(model)
     }
 
     /// Inference: marginal P(true) for every candidate (aligned with
@@ -1176,17 +1226,17 @@ impl<'a> PipelineSession<'a> {
             return Ok(());
         }
         self.note(StageId::Infer, false);
-        let model = &self.model.as_ref().unwrap().value;
-        let dataset = &self.dataset.as_ref().unwrap().value;
-        let (marginals, took) = progress_stage("infer", || {
-            observe::timed("infer", || model.predict(&dataset.inputs))
+        let ((), took) = timed_stage("infer", || {
+            let model = &self.model.as_ref().unwrap().value;
+            let dataset = &self.dataset.as_ref().unwrap().value;
+            let marginals = model.predict(&dataset.inputs);
+            observe::counter("infer.candidates", marginals.len() as u64);
+            self.marginals = Some(Cached {
+                key,
+                value: marginals,
+            });
         });
-        observe::counter("infer.candidates", marginals.len() as u64);
         self.timings.infer = took;
-        self.marginals = Some(Cached {
-            key,
-            value: marginals,
-        });
         Ok(())
     }
 

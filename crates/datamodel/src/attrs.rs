@@ -6,15 +6,13 @@
 //! from the markup tree, tabular attributes from row/column membership, and
 //! visual attributes (page + bounding box) from a rendered layout.
 
-use serde::{Deserialize, Serialize};
-
 /// Source format of an input document (paper Table 1: PDF, HTML, XML).
 ///
 /// The format determines which modalities are natively available: XML
 /// documents carry no visual rendering (as in the GENOMICS dataset), while
 /// PDF-derived documents may carry noisy structural markup recovered by
 /// conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocFormat {
     /// Converted from PDF: visual coordinates are primary, HTML markup is
     /// recovered (and possibly noisy).
@@ -45,7 +43,7 @@ impl DocFormat {
 
 /// An axis-aligned bounding box in page coordinates (points; origin at the
 /// top-left of the page, `y` growing downward).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     /// Left edge.
     pub x0: f32,
@@ -110,7 +108,7 @@ impl BBox {
 /// Visual attributes of a single word: which page it is rendered on, its
 /// bounding box, and font information (Figure 1 highlights font name, size,
 /// and style as meaningful signals).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WordVisual {
     /// 1-based page number.
     pub page: u16,
@@ -132,7 +130,7 @@ pub struct WordVisual {
 /// These correspond to the structural feature templates of Table 7 (HTML tag,
 /// attributes, parent/sibling tags, ancestor tag/class/id sequences, node
 /// position among siblings).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Structural {
     /// Tag of the innermost element containing the sentence (e.g. `"td"`).
     pub tag: String,
@@ -173,7 +171,7 @@ impl Structural {
 }
 
 /// Linguistic attributes produced by NLP preprocessing for one word.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordLinguistic {
     /// Part-of-speech tag (coarse Penn-style set; see `fonduer-nlp`).
     pub pos: String,

@@ -2,10 +2,9 @@
 
 use crate::document::Document;
 use crate::ids::DocId;
-use serde::{Deserialize, Serialize};
 
 /// An ordered collection of documents with stable [`DocId`]s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Corpus {
     /// Corpus name (e.g. `"electronics"`).
     pub name: String,

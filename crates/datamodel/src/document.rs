@@ -23,11 +23,10 @@
 use crate::attrs::{BBox, DocFormat, Structural, WordVisual};
 use crate::ids::*;
 use crate::intern::SymbolArena;
-use serde::{Deserialize, Serialize};
 
 /// A top-level section of a document. Sections partition the document into
 /// sequences of text blocks, tables, and figures.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Section {
     /// 0-based position of this section within the document.
     pub position: u32,
@@ -36,7 +35,7 @@ pub struct Section {
 }
 
 /// A block of running text (document header, description paragraph, etc.).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextBlock {
     /// The owning section.
     pub parent: SectionId,
@@ -48,7 +47,7 @@ pub struct TextBlock {
 
 /// A table: a grid of cells, addressable by rows and columns, optionally
 /// with a caption.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// The owning section.
     pub parent: SectionId,
@@ -70,7 +69,7 @@ pub struct Table {
 
 /// A figure (image). Fonduer stores figures as contexts so that captions and
 /// surrounding text can reference them; their pixel content is not modeled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure {
     /// The owning section.
     pub parent: SectionId,
@@ -83,7 +82,7 @@ pub struct Figure {
 }
 
 /// A caption attached to a table or figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Caption {
     /// The table or figure this caption belongs to.
     pub parent: ContextRef,
@@ -92,7 +91,7 @@ pub struct Caption {
 }
 
 /// A table row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// The owning table.
     pub table: TableId,
@@ -103,7 +102,7 @@ pub struct Row {
 }
 
 /// A table column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Column {
     /// The owning table.
     pub table: TableId,
@@ -116,7 +115,7 @@ pub struct Column {
 /// A table cell. Spanning cells cover inclusive ranges of rows and columns
 /// (paper Example 1.4: tables come with "a variety of spanning cells, header
 /// hierarchies, and layout orientations").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// The owning table.
     pub table: TableId,
@@ -146,7 +145,7 @@ impl Cell {
 
 /// A paragraph: the unit that groups sentences beneath any text-bearing
 /// context (text block, cell, or caption).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Paragraph {
     /// The text block, cell, or caption containing this paragraph.
     pub parent: ContextRef,
@@ -161,7 +160,7 @@ pub struct Paragraph {
 /// document-level token arrays (see the module docs on memory layout).
 /// Per-word attributes are read through the accessor methods, which resolve
 /// against the owning document's arenas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sentence {
     /// The owning paragraph.
     pub parent: ParagraphId,
@@ -289,7 +288,7 @@ impl Sentence {
 /// A parsed document: the root of the context DAG, owning flat arenas of all
 /// context nodes (paper Figure 3) plus the text/token arenas that sentences
 /// index into (see the module docs on memory layout).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Document name (stable across runs; e.g. a filename).
     pub name: String,

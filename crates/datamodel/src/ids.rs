@@ -4,14 +4,10 @@
 //! these newtypes index into those arenas. Using `u32` keeps oft-instantiated
 //! types (spans, candidates) small, per the type-size guidance for hot types.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -93,7 +89,7 @@ define_id!(
 /// paper). Downward edges express parent-contains-child relationships; this
 /// enum is how child nodes point back at their parents and how traversal
 /// code addresses arbitrary nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ContextRef {
     /// The document root.
     Document,

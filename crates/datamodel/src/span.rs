@@ -7,10 +7,9 @@
 use crate::attrs::BBox;
 use crate::document::Document;
 use crate::ids::{DocId, SentenceId};
-use serde::{Deserialize, Serialize};
 
 /// A half-open token range `[start, end)` within one sentence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Span {
     /// The sentence containing the span.
     pub sentence: SentenceId,
@@ -101,7 +100,7 @@ impl Span {
 }
 
 /// A span qualified by its document: the corpus-wide address of a mention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanRef {
     /// The document containing the span.
     pub doc: DocId,

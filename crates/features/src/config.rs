@@ -3,11 +3,9 @@
 //! The Figure 7 ablation disables one modality at a time; this config is
 //! the switchboard.
 
-use serde::{Deserialize, Serialize};
-
 /// Which feature modalities are enabled, and how feature names map to
 /// matrix columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureConfig {
     /// Textual features (mention words/lemmas/POS, windows, between-text).
     pub textual: bool,

@@ -11,21 +11,16 @@
 //! * [`baselines::LogRegModel`] — sparse logistic regression standing in
 //!   for the human-tuned feature library (Table 4) and SRV (Table 5).
 //! * [`baselines::DocRnnModel`] — the document-level RNN of Table 6.
-//! * [`hogwild::HogwildLogReg`] — the same sparse logistic regression
-//!   trained by lock-free Hogwild! parallel SGD on the shared
-//!   `fonduer-par` pool.
 //! * [`input`] — candidate → token/feature preparation with candidate
 //!   markers.
 
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod hogwild;
 pub mod input;
 pub mod model;
 
 pub use baselines::{DocRnnModel, LogRegModel};
-pub use hogwild::HogwildLogReg;
 pub use input::{
     doc_token_ids, mention_token_ids, prepare, CandidateInput, PreparedDataset, MAX_ARITY,
 };

@@ -197,7 +197,7 @@ impl FonduerModel {
     /// Serialize the trained weights (see `fonduer_nn::persist`). Load them
     /// into a model built with the same config/vocabulary/feature space via
     /// [`FonduerModel::load_weights`].
-    pub fn save_weights(&self) -> bytes::Bytes {
+    pub fn save_weights(&self) -> Vec<u8> {
         fonduer_nn::save_weights(&self.store)
     }
 

@@ -10,8 +10,8 @@
 //! * [`token`] — span-based tokenizer aware of numbers, units, part codes,
 //!   intervals; emits byte offsets into the source text, no `String`s;
 //! * [`sentence`] — sentence splitter with abbreviation/decimal protection;
-//! * [`simd`] — SWAR/AVX2 byte-class scanners behind runtime dispatch,
-//!   bit-identical to the scalar path (`FONDUER_NO_AVX2=1` forces scalar);
+//! * `simd` — SWAR byte-class scanners (8 bytes per step) behind the
+//!   tokenizer and sentence splitter, exact against the scalar loop;
 //! * [`tag`] — POS tagger, lemmatizer, entity-style tagger;
 //! * [`ngram`] — n-gram helpers used by matchers and labeling functions;
 //! * [`vocab`] — hashed vocabulary backing trainable word embeddings;
@@ -23,7 +23,7 @@
 pub mod ngram;
 pub mod preprocess;
 pub mod sentence;
-pub mod simd;
+mod simd;
 pub mod tag;
 pub mod token;
 pub mod vocab;
@@ -33,7 +33,6 @@ pub use preprocess::{
     preprocess, preprocess_into, preprocess_sentence, preprocess_sentence_into, NlpScratch,
 };
 pub use sentence::{sentence_texts, split_sentences};
-pub use simd::simd_level;
 pub use tag::{is_number, lemmatize, lower_into, ner_tag, pos_tag, UNITS};
 #[allow(deprecated)]
 pub use token::token_texts;

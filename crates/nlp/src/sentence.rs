@@ -23,7 +23,7 @@ fn ends_with_abbreviation(prefix: &str) -> bool {
 /// Split `text` into sentence substrings with byte ranges `(start, end)`.
 ///
 /// Byte-oriented scan: candidate terminators (`.`, `!`, `?` — all ASCII)
-/// are located with the SWAR/AVX2 scanner in [`crate::simd`], and only the
+/// are located with the SWAR scanner in `crate::simd`, and only the
 /// look-ahead over following whitespace decodes chars (non-ASCII
 /// whitespace and uppercase tests are Unicode-aware, matching the original
 /// char-indexed implementation exactly).

@@ -1,63 +1,16 @@
-//! SIMD-assisted byte-class scanning for the tokenizer and sentence
-//! splitter.
+//! SWAR byte-class scanning for the tokenizer and sentence splitter.
 //!
 //! The tokenizer's hot loops are runs: "consume ASCII digits", "consume
 //! ASCII word characters", "skip ASCII whitespace", "find the next sentence
-//! terminator". This module provides run scanners at three widths:
+//! terminator". Each scanner tests 8 bytes per step with branch-free `u64`
+//! byte-lane arithmetic (SWAR, portable to every target), then finishes
+//! the tail with a scalar loop.
 //!
-//! * a scalar tail loop (always);
-//! * a SWAR path that tests 8 bytes per step with branch-free `u64`
-//!   byte-lane arithmetic (the portable "generic" path);
-//! * an AVX2 path behind `#[target_feature]` that tests 32 bytes per step
-//!   with vector compares + `movemask`, selected at runtime via CPUID
-//!   (honoring `FONDUER_NO_AVX2`), following the same dispatch pattern as
-//!   `fonduer-tensor`'s kernel shims.
-//!
-//! All paths classify *ASCII* byte classes only; any byte ≥ 0x80 terminates
-//! a run and is handed back to the caller's scalar char decoder. Because
-//! classification is exact per byte, every path returns bit-identical run
-//! boundaries — a parity test tokenizes adversarial and random inputs under
-//! both paths and asserts equality.
-
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
-
-/// 0 = undetected, 1 = generic (SWAR) path, 2 = AVX2 path.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the AVX2 scanners should be used. First call performs CPUID
-/// detection (honoring `FONDUER_NO_AVX2` as an opt-out for debugging);
-/// later calls are one relaxed load.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2_enabled() -> bool {
-    match STATE.load(Relaxed) {
-        0 => {
-            let on = std::arch::is_x86_feature_detected!("avx2")
-                && std::env::var_os("FONDUER_NO_AVX2").is_none();
-            STATE.store(if on { 2 } else { 1 }, Relaxed);
-            on
-        }
-        s => s == 2,
-    }
-}
-
-/// Which tokenizer scan path is active: `"avx2"` or `"generic"`.
-pub fn simd_level() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_enabled() {
-            return "avx2";
-        }
-    }
-    "generic"
-}
-
-/// Test hook: force the generic SWAR path (`true`) or re-run detection on
-/// the next scan (`false`). Used by the bitwise path-parity tests.
-#[doc(hidden)]
-pub fn force_generic(on: bool) {
-    STATE.store(if on { 1 } else { 0 }, Relaxed);
-}
+//! The scanners classify *ASCII* byte classes only; any byte ≥ 0x80
+//! terminates a run and is handed back to the caller's scalar char
+//! decoder. Because classification is exact per byte, the run boundaries
+//! equal the scalar loop's — tests pin that on adversarial byte soup, and
+//! the tokenizer's tests pin it against a char-based reference.
 
 // ---------------------------------------------------------------------------
 // Byte classes
@@ -163,19 +116,26 @@ macro_rules! swar_run {
     }};
 }
 
-fn word_run_end_swar(bytes: &[u8], mut i: usize) -> usize {
+/// First index `>= i` whose byte is not an ASCII word character
+/// (`[0-9A-Za-z_]`), or `bytes.len()`.
+pub(crate) fn word_run_end(bytes: &[u8], mut i: usize) -> usize {
     swar_run!(bytes, i, word_lanes, is_ascii_word)
 }
 
-fn digit_run_end_swar(bytes: &[u8], mut i: usize) -> usize {
+/// First index `>= i` whose byte is not an ASCII digit, or `bytes.len()`.
+pub(crate) fn digit_run_end(bytes: &[u8], mut i: usize) -> usize {
     swar_run!(bytes, i, digit_lanes, |b: u8| b.is_ascii_digit())
 }
 
-fn ws_run_end_swar(bytes: &[u8], mut i: usize) -> usize {
+/// First index `>= i` whose byte is not ASCII whitespace, or
+/// `bytes.len()`.
+pub(crate) fn ws_run_end(bytes: &[u8], mut i: usize) -> usize {
     swar_run!(bytes, i, ws_lanes, is_ascii_ws)
 }
 
-fn find_terminator_swar(bytes: &[u8], mut i: usize) -> usize {
+/// First index `>= i` whose byte is a sentence terminator (`.`, `!`,
+/// `?`), or `bytes.len()`.
+pub(crate) fn find_terminator(bytes: &[u8], mut i: usize) -> usize {
     while i + 8 <= bytes.len() {
         let hit = terminator_lanes(load8(bytes, i));
         if hit != 0 {
@@ -188,152 +148,6 @@ fn find_terminator_swar(bytes: &[u8], mut i: usize) -> usize {
     }
     i
 }
-
-// ---------------------------------------------------------------------------
-// AVX2 shims: 32 bytes per step via vector compares + movemask. Unsigned
-// range tests use the min/max idiom (`b >= lo  ⇔  max(b, lo) == b`), which
-// classifies bytes >= 0x80 correctly without bias tricks.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    #[inline]
-    unsafe fn range_mask(v: __m256i, lo: u8, hi: u8) -> __m256i {
-        let ge = _mm256_cmpeq_epi8(v, _mm256_max_epu8(v, _mm256_set1_epi8(lo as i8)));
-        let le = _mm256_cmpeq_epi8(v, _mm256_min_epu8(v, _mm256_set1_epi8(hi as i8)));
-        _mm256_and_si256(ge, le)
-    }
-
-    #[inline]
-    unsafe fn eq_mask(v: __m256i, b: u8) -> __m256i {
-        _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b as i8))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn word_run_end(bytes: &[u8], mut i: usize) -> usize {
-        while i + 32 <= bytes.len() {
-            let v = _mm256_loadu_si256(bytes.as_ptr().add(i) as *const __m256i);
-            let d = range_mask(v, b'0', b'9');
-            let up = range_mask(v, b'A', b'Z');
-            let lo = range_mask(v, b'a', b'z');
-            let us = eq_mask(v, b'_');
-            let class = _mm256_or_si256(_mm256_or_si256(d, up), _mm256_or_si256(lo, us));
-            let stop = !(_mm256_movemask_epi8(class) as u32);
-            if stop != 0 {
-                return i + stop.trailing_zeros() as usize;
-            }
-            i += 32;
-        }
-        super::word_run_end_swar(bytes, i)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn digit_run_end(bytes: &[u8], mut i: usize) -> usize {
-        while i + 32 <= bytes.len() {
-            let v = _mm256_loadu_si256(bytes.as_ptr().add(i) as *const __m256i);
-            let class = range_mask(v, b'0', b'9');
-            let stop = !(_mm256_movemask_epi8(class) as u32);
-            if stop != 0 {
-                return i + stop.trailing_zeros() as usize;
-            }
-            i += 32;
-        }
-        super::digit_run_end_swar(bytes, i)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ws_run_end(bytes: &[u8], mut i: usize) -> usize {
-        while i + 32 <= bytes.len() {
-            let v = _mm256_loadu_si256(bytes.as_ptr().add(i) as *const __m256i);
-            let class = _mm256_or_si256(range_mask(v, 0x09, 0x0d), eq_mask(v, b' '));
-            let stop = !(_mm256_movemask_epi8(class) as u32);
-            if stop != 0 {
-                return i + stop.trailing_zeros() as usize;
-            }
-            i += 32;
-        }
-        super::ws_run_end_swar(bytes, i)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn find_terminator(bytes: &[u8], mut i: usize) -> usize {
-        while i + 32 <= bytes.len() {
-            let v = _mm256_loadu_si256(bytes.as_ptr().add(i) as *const __m256i);
-            let class = _mm256_or_si256(
-                _mm256_or_si256(eq_mask(v, b'.'), eq_mask(v, b'!')),
-                eq_mask(v, b'?'),
-            );
-            let hit = _mm256_movemask_epi8(class) as u32;
-            if hit != 0 {
-                return i + hit.trailing_zeros() as usize;
-            }
-            i += 32;
-        }
-        super::find_terminator_swar(bytes, i)
-    }
-}
-
-macro_rules! dispatch {
-    ($name:ident, $swar:ident, $lanes:ident, $invert:expr, $doc:literal) => {
-        #[doc = $doc]
-        #[inline]
-        pub(crate) fn $name(bytes: &[u8], i: usize) -> usize {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // Hybrid: probe the first 8 bytes with one SWAR step before
-                // going wide. Most tokenizer runs (a word, a single space)
-                // end inside that block, where an AVX2 load + three vector
-                // compares costs more than it saves; only runs that survive
-                // the probe switch to 32-byte steps. The 40-byte floor
-                // guarantees at least one full vector block after the probe.
-                if bytes.len() - i >= 40 && avx2_enabled() {
-                    let lanes = $lanes(load8(bytes, i));
-                    let stop = if $invert { lanes ^ HIGH } else { lanes };
-                    if stop != 0 {
-                        return i + (stop.trailing_zeros() / 8) as usize;
-                    }
-                    // SAFETY: avx2_enabled() gates on runtime CPUID.
-                    return unsafe { avx2::$name(bytes, i + 8) };
-                }
-            }
-            $swar(bytes, i)
-        }
-    };
-}
-
-dispatch!(
-    word_run_end,
-    word_run_end_swar,
-    word_lanes,
-    true,
-    "First index `>= i` whose byte is not an ASCII word character \
-     (`[0-9A-Za-z_]`), or `bytes.len()`."
-);
-dispatch!(
-    digit_run_end,
-    digit_run_end_swar,
-    digit_lanes,
-    true,
-    "First index `>= i` whose byte is not an ASCII digit, or `bytes.len()`."
-);
-dispatch!(
-    ws_run_end,
-    ws_run_end_swar,
-    ws_lanes,
-    true,
-    "First index `>= i` whose byte is not ASCII whitespace, or \
-     `bytes.len()`."
-);
-dispatch!(
-    find_terminator,
-    find_terminator_swar,
-    terminator_lanes,
-    false,
-    "First index `>= i` whose byte is a sentence terminator (`.`, `!`, \
-     `?`), or `bytes.len()`."
-);
 
 #[cfg(test)]
 mod tests {
@@ -367,22 +181,22 @@ mod tests {
             let bytes = soup(seed, 257);
             for start in 0..bytes.len() {
                 assert_eq!(
-                    word_run_end_swar(&bytes, start),
+                    word_run_end(&bytes, start),
                     scalar_run(&bytes, start, is_ascii_word),
                     "word run at {start}, seed {seed}"
                 );
                 assert_eq!(
-                    digit_run_end_swar(&bytes, start),
+                    digit_run_end(&bytes, start),
                     scalar_run(&bytes, start, |b| b.is_ascii_digit()),
                     "digit run at {start}, seed {seed}"
                 );
                 assert_eq!(
-                    ws_run_end_swar(&bytes, start),
+                    ws_run_end(&bytes, start),
                     scalar_run(&bytes, start, is_ascii_ws),
                     "ws run at {start}, seed {seed}"
                 );
                 assert_eq!(
-                    find_terminator_swar(&bytes, start),
+                    find_terminator(&bytes, start),
                     scalar_run(&bytes, start, |b| !matches!(b, b'.' | b'!' | b'?')),
                     "terminator scan at {start}, seed {seed}"
                 );
@@ -391,38 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_runs_match_swar() {
-        // On AVX2 hosts this exercises the vector path against SWAR; on
-        // others it is a self-check.
-        for seed in 8..12u64 {
-            let bytes = soup(seed, 300);
-            for start in 0..bytes.len() {
-                assert_eq!(
-                    word_run_end(&bytes, start),
-                    word_run_end_swar(&bytes, start)
-                );
-                assert_eq!(
-                    digit_run_end(&bytes, start),
-                    digit_run_end_swar(&bytes, start)
-                );
-                assert_eq!(ws_run_end(&bytes, start), ws_run_end_swar(&bytes, start));
-                assert_eq!(
-                    find_terminator(&bytes, start),
-                    find_terminator_swar(&bytes, start)
-                );
-            }
-        }
-        assert!(matches!(simd_level(), "avx2" | "generic"));
-    }
-
-    #[test]
     fn lane_arithmetic_edge_bytes() {
         // 0x80-adjacent bytes must never be classified into any ASCII class.
         let bytes = [0x7f, 0x80, 0xff, b'a', b'0', b' ', b'.', 0x00];
-        assert_eq!(word_run_end_swar(&bytes, 0), 0);
-        assert_eq!(word_run_end_swar(&bytes, 3), 5);
-        assert_eq!(digit_run_end_swar(&bytes, 4), 5);
-        assert_eq!(ws_run_end_swar(&bytes, 5), 6);
-        assert_eq!(find_terminator_swar(&bytes, 0), 6);
+        assert_eq!(word_run_end(&bytes, 0), 0);
+        assert_eq!(word_run_end(&bytes, 3), 5);
+        assert_eq!(digit_run_end(&bytes, 4), 5);
+        assert_eq!(ws_run_end(&bytes, 5), 6);
+        assert_eq!(find_terminator(&bytes, 0), 6);
     }
 }

@@ -8,7 +8,6 @@
 //! a loaded model is for inference or fresh fine-tuning.
 
 use crate::store::ParamStore;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"FNDW";
 const VERSION: u32 = 1;
@@ -50,44 +49,43 @@ impl std::fmt::Display for PersistError {
 impl std::error::Error for PersistError {}
 
 /// Serialize a store's weights.
-pub fn save_weights(store: &ParamStore) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + store.n_params() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(store.n_params() as u64);
+pub fn save_weights(store: &ParamStore) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 + store.n_params() * 4);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(store.n_params() as u64).to_le_bytes());
     for &w in &store.w {
-        buf.put_f32_le(w);
+        buf.extend_from_slice(&w.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Load weights into a store with an identical layout (same layers allocated
 /// in the same order).
-pub fn load_weights(store: &mut ParamStore, mut blob: &[u8]) -> Result<(), PersistError> {
+pub fn load_weights(store: &mut ParamStore, blob: &[u8]) -> Result<(), PersistError> {
     if blob.len() < 16 {
         return Err(PersistError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    blob.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (header, weights) = blob.split_at(16);
+    if &header[..4] != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = blob.get_u32_le();
+    let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
     if version != VERSION {
         return Err(PersistError::BadVersion(version));
     }
-    let n = blob.get_u64_le() as usize;
+    let n = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
     if n != store.n_params() {
         return Err(PersistError::ShapeMismatch {
             expected: store.n_params(),
             found: n,
         });
     }
-    if blob.remaining() < n * 4 {
+    if weights.len() < n * 4 {
         return Err(PersistError::Truncated);
     }
-    for w in store.w.iter_mut() {
-        *w = blob.get_f32_le();
+    for (w, bytes) in store.w.iter_mut().zip(weights.chunks_exact(4)) {
+        *w = f32::from_le_bytes(bytes.try_into().unwrap());
     }
     Ok(())
 }

@@ -2,10 +2,10 @@
 //! escaping for the writers plus a small recursive-descent parser used to
 //! round-trip-validate emitted documents in tests and CI.
 //!
-//! This is deliberately not a serde replacement (the workspace's `serde` is
-//! a hermetic marker-trait stub): it parses exactly the JSON this crate
-//! emits — objects, arrays, strings, numbers, booleans, null — and nothing
-//! exotic beyond that.
+//! This is deliberately not a general JSON library (the build is hermetic,
+//! with no serde): it parses exactly the JSON this crate emits — objects,
+//! arrays, strings, numbers, booleans, null — and nothing exotic beyond
+//! that.
 
 use std::fmt::Write as _;
 

@@ -1,19 +1,18 @@
 //! # fonduer-par
 //!
-//! The workspace-wide data-parallel execution layer. Every hot pipeline
-//! stage — corpus ingest, candidate extraction, featurization, LF
-//! application, and Hogwild!-style training — shards its work by document
-//! (training: by row block) and runs it on this crate's work-stealing pool
-//! instead of hand-rolling its own thread management. The three corpus
+//! The workspace-wide data-parallel execution layer. Every hot corpus
+//! stage — ingest, candidate extraction, featurization, LF application —
+//! shards its work by document and runs it on this crate's work-stealing
+//! pool instead of hand-rolling its own thread management. The three corpus
 //! stages all go through [`Pool::map_docs`]: one per-document kernel,
 //! results in input order, per-document timings recorded in input order.
 //!
 //! ## Design
 //!
 //! A [`Pool`] is a lightweight handle (`n_threads` after env/hardware
-//! resolution); each call to [`Pool::par_map`] / [`Pool::par_chunks`] /
-//! [`Pool::par_reduce`] runs a *scoped* fork–join execution: worker
-//! threads are spawned inside a `crossbeam::scope`, so tasks may borrow
+//! resolution); each call to [`Pool::par_map`] / [`Pool::par_reduce`]
+//! runs a *scoped* fork–join execution: worker threads are spawned
+//! inside a `crossbeam::scope`, so tasks may borrow
 //! from the caller's stack, and every worker is joined before the call
 //! returns. Tasks are distributed as contiguous index blocks into
 //! per-worker work-stealing deques (`crossbeam::deque`); a worker that
@@ -205,23 +204,6 @@ impl Pool {
             .collect()
     }
 
-    /// Split `items` into contiguous chunks (at most `4 × n_threads`, so
-    /// stealing has granularity to work with) and map `f` over each chunk
-    /// in parallel. `f` receives the chunk's starting index in `items`;
-    /// per-chunk results come back in chunk order.
-    pub fn par_chunks<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &[I]) -> T + Sync,
-    {
-        let ranges = chunk_ranges(items.len(), self.n_threads * 4);
-        self.run(ranges.len(), &|k| {
-            let (lo, hi) = ranges[k];
-            f(lo, &items[lo..hi])
-        })
-    }
-
     /// Map `f` over `items` in parallel, then fold the mapped values
     /// **strictly in input order** on the calling thread — the reduction
     /// is deterministic regardless of worker scheduling.
@@ -375,25 +357,6 @@ impl Pool {
     }
 }
 
-/// Split `len` items into at most `max_chunks` contiguous `(lo, hi)`
-/// ranges of near-equal size (the trailing ranges may be one shorter).
-pub fn chunk_ranges(len: usize, max_chunks: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let n = max_chunks.clamp(1, len);
-    let base = len / n;
-    let extra = len % n;
-    let mut out = Vec::with_capacity(n);
-    let mut lo = 0;
-    for k in 0..n {
-        let hi = lo + base + usize::from(k < extra);
-        out.push((lo, hi));
-        lo = hi;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,18 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_every_item_once() {
-        let pool = Pool { n_threads: 3 };
-        let items: Vec<usize> = (0..100).collect();
-        let sums = pool.par_chunks(&items, |lo, chunk| {
-            assert_eq!(chunk[0], lo); // chunk start index is truthful
-            chunk.iter().sum::<usize>()
-        });
-        assert!(sums.len() <= 12);
-        assert_eq!(sums.iter().sum::<usize>(), 4950);
-    }
-
-    #[test]
     fn par_reduce_folds_in_input_order() {
         let pool = Pool { n_threads: 4 };
         let items: Vec<u32> = (0..50).collect();
@@ -498,17 +449,6 @@ mod tests {
         });
         for (k, (i, _)) in out.iter().enumerate() {
             assert_eq!(k, *i);
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_partition_exactly() {
-        assert_eq!(chunk_ranges(0, 4), vec![]);
-        assert_eq!(chunk_ranges(3, 8), vec![(0, 1), (1, 2), (2, 3)]);
-        let r = chunk_ranges(10, 3);
-        assert_eq!(r, vec![(0, 4), (4, 7), (7, 10)]);
-        for w in r.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
         }
     }
 

@@ -6,8 +6,7 @@
 //! ([`kernels`]: `dot`/`gemv`/`gemm_nt`/`axpy`, fused LSTM gate and Adam
 //! sweeps, branch-free polynomial transcendentals) written so LLVM
 //! autovectorizes them on stable Rust, and sparse-dense gather kernels
-//! ([`sparse`]) operating directly on CSR row-id slices — including the
-//! relaxed-atomic variants the Hogwild learner needs.
+//! ([`sparse`]) operating directly on CSR row-id slices.
 //!
 //! Design rules:
 //!
@@ -44,7 +43,7 @@ pub use kernels::{
 };
 pub use mat::{AlignedVec, Mat, ARENA_ALIGN};
 pub use simd::simd_level;
-pub use sparse::{sparse_add, sparse_add_atomic, sparse_dot, sparse_dot_atomic};
+pub use sparse::{sparse_add, sparse_dot};
 
 /// Process-wide kernel-call counters (relaxed atomics; zero-dependency
 /// stand-in for histogram/counter instrumentation, flushed into

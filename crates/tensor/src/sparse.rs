@@ -2,13 +2,9 @@
 //!
 //! Fonduer's feature matrices are binary CSR (PR 5): a candidate's row is a
 //! sorted `&[u32]` of active column ids, and the learners' hot products are
-//! gather-sums against a dense weight vector. The atomic variants operate
-//! on the Hogwild learner's `AtomicU32` f32-bit weight vector with relaxed
-//! ordering — lost updates are permitted (that is the algorithm), torn
-//! reads are not.
+//! gather-sums against a dense weight vector.
 
 use crate::stats;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 const LANES: usize = 4;
 
@@ -40,37 +36,6 @@ pub fn sparse_add(w: &mut [f32], ids: &[u32], alpha: f32) {
     }
 }
 
-/// [`sparse_dot`] against f32 bit patterns behind relaxed atomics.
-#[inline]
-pub fn sparse_dot_atomic(w: &[AtomicU32], ids: &[u32]) -> f32 {
-    stats::count_sparse_dot();
-    let mut acc = [0.0f32; LANES];
-    let mut chunks = ids.chunks_exact(LANES);
-    for c in chunks.by_ref() {
-        for l in 0..LANES {
-            acc[l] += f32::from_bits(w[c[l] as usize].load(Relaxed));
-        }
-    }
-    let mut tail = 0.0f32;
-    for &id in chunks.remainder() {
-        tail += f32::from_bits(w[id as usize].load(Relaxed));
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// Racy scatter-add `w[id] += alpha` on relaxed atomics (read-modify-write
-/// without compare-exchange: Hogwild's lost-update semantics).
-#[inline]
-pub fn sparse_add_atomic(w: &[AtomicU32], ids: &[u32], alpha: f32) {
-    for &id in ids {
-        let cell = &w[id as usize];
-        cell.store(
-            (f32::from_bits(cell.load(Relaxed)) + alpha).to_bits(),
-            Relaxed,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,24 +63,5 @@ mod tests {
         assert_eq!(w[3], 1.0);
         assert_eq!(w[9], 0.5);
         assert_eq!(w[0], 0.0);
-    }
-
-    #[test]
-    fn atomic_variants_match_plain() {
-        let w: Vec<f32> = (0..50).map(|i| (i as f32).sin()).collect();
-        let aw: Vec<AtomicU32> = w.iter().map(|&x| AtomicU32::new(x.to_bits())).collect();
-        let ids: Vec<u32> = vec![0, 7, 13, 13, 49, 22];
-        let plain = sparse_dot(&w, &ids);
-        let atomic = sparse_dot_atomic(&aw, &ids);
-        assert_eq!(plain.to_bits(), atomic.to_bits());
-        sparse_add_atomic(&aw, &ids, 0.25);
-        let mut w2 = w.clone();
-        sparse_add(&mut w2, &ids, 0.25);
-        for (i, cell) in aw.iter().enumerate() {
-            assert_eq!(
-                f32::from_bits(cell.load(Relaxed)).to_bits(),
-                w2[i].to_bits()
-            );
-        }
     }
 }

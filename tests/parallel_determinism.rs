@@ -3,14 +3,13 @@
 //! The determinism contract: every deterministic stage — candidate
 //! extraction, featurization (including vocabulary first-occurrence
 //! ordering), and LF application — produces *byte-identical* artifacts at
-//! every thread count. The single sanctioned exception is Hogwild
-//! training, whose racy weight updates may differ across thread counts but
-//! must converge to the same loss within tolerance.
+//! every thread count, and every learner trains to bit-identical
+//! marginals at every thread count.
 
 use fonduer::prelude::*;
 use fonduer_core::domains;
 use fonduer_features::SparseAccess;
-use fonduer_learning::{CandidateInput, HogwildLogReg};
+use fonduer_learning::ModelConfig;
 use fonduer_par::Pool;
 use fonduer_synth::{generate_electronics, ElectronicsConfig};
 
@@ -101,61 +100,34 @@ fn label_matrix_is_byte_identical_across_thread_counts() {
 fn full_pipeline_output_matches_between_1_and_8_threads() {
     let ds = dataset();
     let task = &domains::electronics::tasks(&ds)[0];
-    let run = |n_threads: usize| {
-        let cfg = PipelineConfig::builder()
-            .learner(fonduer_core::Learner::LogReg)
-            .n_threads(n_threads)
-            .build()
-            .unwrap();
-        let mut session = PipelineSession::new(&ds.corpus, &ds.gold, task, cfg).unwrap();
-        session.output().unwrap()
-    };
-    let seq = run(1);
-    let par = run(8);
-    assert_eq!(seq.candidates.candidates, par.candidates.candidates);
-    assert_eq!(seq.kb.entries, par.kb.entries);
-    // Deterministic learner: marginals bit-identical.
-    let seq_bits: Vec<u32> = seq.marginals.iter().map(|m| m.to_bits()).collect();
-    let par_bits: Vec<u32> = par.marginals.iter().map(|m| m.to_bits()).collect();
-    assert_eq!(seq_bits, par_bits);
-}
-
-fn hogwild_dataset(n: usize) -> (Vec<CandidateInput>, Vec<f32>) {
-    (0..n)
-        .map(|i| {
-            let pos = i % 2 == 0;
-            (
-                CandidateInput {
-                    mention_tokens: vec![vec![1], vec![2]],
-                    features: if pos {
-                        vec![0, 2, 3].into()
-                    } else {
-                        vec![1, 2, 4].into()
-                    },
-                },
-                if pos { 0.95 } else { 0.05 },
-            )
-        })
-        .unzip()
-}
-
-#[test]
-fn hogwild_final_loss_matches_sequential_within_tolerance() {
-    use fonduer_learning::ProbClassifier;
-    let (inputs, targets) = hogwild_dataset(300);
-    let mut seq = HogwildLogReg::new(5, 42, 1);
-    seq.fit(&inputs, &targets);
-    let mut hog = HogwildLogReg::new(5, 42, 8);
-    hog.fit(&inputs, &targets);
-    let l_seq = seq.mean_loss(&inputs, &targets);
-    let l_hog = hog.mean_loss(&inputs, &targets);
-    assert!(
-        (l_seq - l_hog).abs() < 0.05,
-        "sequential loss {l_seq} vs hogwild loss {l_hog}"
-    );
-    // And both models agree on every classification.
-    for (inp, &t) in inputs.iter().zip(&targets) {
-        assert_eq!(seq.predict_one(inp) > 0.5, t > 0.5);
-        assert_eq!(hog.predict_one(inp) > 0.5, t > 0.5);
+    for learner in [Learner::LogReg, Learner::MultimodalLstm] {
+        // Exhaustive on purpose: a new learner must opt in here.
+        let model = match learner {
+            Learner::LogReg => ModelConfig::default(),
+            Learner::MultimodalLstm => ModelConfig {
+                epochs: 2,
+                ..ModelConfig::default()
+            },
+        };
+        let run = |n_threads: usize| {
+            let cfg = PipelineConfig::builder()
+                .learner(learner)
+                .model(model.clone())
+                .n_threads(n_threads)
+                .build()
+                .unwrap();
+            let mut session = PipelineSession::new(&ds.corpus, &ds.gold, task, cfg).unwrap();
+            session.output().unwrap()
+        };
+        let seq = run(1);
+        let par = run(8);
+        assert_eq!(
+            seq.candidates.candidates, par.candidates.candidates,
+            "{learner:?}"
+        );
+        assert_eq!(seq.kb.entries, par.kb.entries, "{learner:?}");
+        let seq_bits: Vec<u32> = seq.marginals.iter().map(|m| m.to_bits()).collect();
+        let par_bits: Vec<u32> = par.marginals.iter().map(|m| m.to_bits()).collect();
+        assert_eq!(seq_bits, par_bits, "{learner:?}");
     }
 }

@@ -11,6 +11,7 @@ use fonduer::prelude::*;
 use fonduer_core::domains::electronics;
 use fonduer_core::{PipelineSession, StageId};
 use std::sync::Mutex;
+use std::time::Instant;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -165,4 +166,56 @@ fn doc_sums_bounded_by_worker_spans_parallel() {
             denom
         );
     }
+}
+
+/// Each stage's `RunReport` time is the whole of its public call, cache
+/// miss to stored artifact: timed from the caller, no stage may do more
+/// than 5% (plus 1 ms of timer slack) of its work outside its own timer.
+#[test]
+fn stage_timers_cover_each_public_stage_call() {
+    let _g = lock();
+    observe::reset();
+    let ds = Domain::Electronics.generate(48, 7);
+    let relation = "has_collector_current";
+    let extractor = electronics::extractor(&ds, relation, ContextScope::Document)
+        .with_throttler(electronics::default_throttler(relation));
+    let lfs = electronics::lfs(relation);
+    let cfg = PipelineConfig::builder()
+        .learner(Learner::LogReg)
+        .build()
+        .expect("config is valid");
+    let mut session = PipelineSession::from_parts(&ds.corpus, &ds.gold, &extractor, &lfs, cfg)
+        .expect("session inputs are valid");
+    // The report is read right after each call: a later call's cache hit
+    // on an upstream stage zeroes that stage's last-run time.
+    let mut check = |stage: StageId, call: &mut dyn FnMut(&mut PipelineSession)| {
+        let t = Instant::now();
+        call(&mut session);
+        let call_us = t.elapsed().as_micros() as u64;
+        let last_us = session
+            .run_report()
+            .stages
+            .iter()
+            .find(|s| s.stage == stage.name())
+            .unwrap_or_else(|| panic!("{}: no RunReport row", stage.name()))
+            .last_us;
+        assert!(
+            last_us as f64 >= 0.95 * call_us as f64 - 1000.0,
+            "{}: RunReport last_us {last_us} µs vs {call_us} µs for the call",
+            stage.name()
+        );
+    };
+    check(StageId::Candidates, &mut |s| {
+        s.candidates().unwrap();
+    });
+    check(StageId::Featurize, &mut |s| {
+        s.featurize().unwrap();
+    });
+    check(StageId::Supervise, &mut |s| {
+        s.supervise().unwrap();
+    });
+    check(StageId::Train, &mut |s| s.train().unwrap());
+    check(StageId::Infer, &mut |s| {
+        s.infer().unwrap();
+    });
 }
